@@ -6,23 +6,27 @@ j, ..., e so that the remainder is again a legal growth sequence.  For
 codimension-3 symmetric vectors, existence of such a decomposition with
 pivot 1 forces unimodality and the concavity inequalities verified below;
 exhaustive absence of one certifies that a symmetric non-SI vector cannot
-be Gorenstein.
+be Gorenstein.  Both searches walk the subtrahend's first half in lex
+order: decompose returns the lex-first subtrahend whose residual obeys
+growth, pruning a first half as soon as the residual step it fixes breaks
+growth, and refute runs the same walk unpruned, so its certificate lists
+the full candidate family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .binomials import binom
-from .enumeration import EnumerationSpec, SequenceFilter, enumerate_hvectors
+from .binomials import binom, macaulay_bound
+from .enumeration import differentiable_prefixes, mirror
 from .sequences import (
     HVector,
-    _strip_trailing_zeros,
     is_si_sequence,
     is_symmetric,
     o_sequence_violation,
+    strip_trailing_zeros,
 )
 
 
@@ -99,50 +103,30 @@ class RefutationReport:
         return len(self.refuted) + len(self.survivors)
 
 
-def _si_tails(max_codim: int, length: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """SI-sequences (1, b_1, ..., b_{length-1}) with b_k <= caps[k], ascending.
+def _subtrahends(
+    h: HVector, pivot: int, max_codim: int, prune: bool
+) -> Iterator[tuple[int, ...]]:
+    """SI-sequences (1, a_1, ..., a_{e-pivot}) of codimension <= max_codim fitting under h.
 
     These are the candidate subtrahends after re-indexing: an SI-sequence
     of small codimension is a Gorenstein h-vector, and in the pivot-1,
     codimension-3 regime every admissible subtrahend has codimension <= 3,
-    so the family below is exhaustive there.
+    so the family below is exhaustive there.  Candidates come in ascending
+    lexicographic order.  With `prune`, a first half is abandoned as soon
+    as the residual entry it fixes breaks growth from the one before; that
+    entry is then positive, so the full residual fails the growth check too.
     """
-    if length == 1:
-        if caps[0] >= 1:
-            yield (1,)
-        return
-    if caps[0] < 1:
-        return
-    socle = length - 1
-    roof = max(caps)
-    top = min(max_codim, caps[1])
-    for b1 in range(1, top + 1):
-        for candidate in _symmetric_differentiable(b1, socle, roof):
-            if all(candidate[k] <= caps[k] for k in range(length)):
-                yield candidate
+    socle = h.socle_degree - pivot
+    # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]
+    caps = [min(h[pivot + k], h[pivot + socle - k]) for k in range(socle // 2 + 1)]
 
+    def residual_step_holds(prefix: tuple[int, ...]) -> bool:
+        d = pivot + len(prefix) - 1  # degree of the residual entry the prefix fixes last
+        return h[d] - prefix[-1] <= macaulay_bound(h[d - 1] - prefix[-2], d - 1)
 
-def _symmetric_differentiable(codim: int, socle: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if socle == 1:
-        if codim == 1:
-            yield (1, 1)
-        return
-    spec = EnumerationSpec(
-        socle_degree=socle,
-        codimension=codim,
-        entry_cap=max(codim, cap),
-        filter=SequenceFilter.SI,
-    )
-    for h in enumerate_hvectors(spec):
-        yield h.entries
-
-
-def _candidate_subtrahends(
-    h: HVector, pivot: int, max_codim: int
-) -> Iterator[tuple[int, ...]]:
-    length = h.socle_degree - pivot + 1
-    caps = tuple(h[pivot + k] for k in range(length))
-    yield from _si_tails(max_codim, length, caps)
+    keep = residual_step_holds if prune else None
+    for prefix in differentiable_prefixes(range(1, max_codim + 1), caps, keep):
+        yield mirror(prefix, socle)
 
 
 def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,18 +150,13 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
         )
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
-    # candidates arrive in ascending lexicographic order, so first valid wins
-    for subtrahend in _candidate_subtrahends(h, pivot, max_codim=_subtrahend_codim_cap(h, pivot)):
+    # candidates arrive in ascending lexicographic order, so first valid wins;
+    # the entry caps alone bound the codimension here
+    for subtrahend in _subtrahends(h, pivot, max_codim=max(h), prune=True):
         residual = _residual(h, pivot, subtrahend)
         if o_sequence_violation(residual) is None:
             return PivotDecomposition(pivot=pivot, subtrahend=subtrahend, residual=residual)
     return None
-
-
-def _subtrahend_codim_cap(h: HVector, pivot: int) -> int:
-    if pivot + 1 > h.socle_degree:
-        return 1
-    return h[pivot + 1]
 
 
 def refute_non_si(h: HVector) -> RefutationReport:
@@ -197,7 +176,7 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []
-    for subtrahend in _candidate_subtrahends(h, pivot=1, max_codim=3):
+    for subtrahend in _subtrahends(h, 1, max_codim=3, prune=False):
         residual = _residual(h, 1, subtrahend)
         violation = _first_residual_violation(residual)
         if violation is None:
@@ -235,7 +214,7 @@ def verify_decomposition_traces(
     subtrahend = decomposition.subtrahend
     residual = decomposition.residual
 
-    stripped = _strip_trailing_zeros(residual)
+    stripped = strip_trailing_zeros(residual)
     seen_subgeneric: int | None = None
     for d in range(len(stripped)):
         if seen_subgeneric is not None and d > seen_subgeneric:

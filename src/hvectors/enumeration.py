@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .binomials import macaulay_bound
 from .sequences import HVector, is_si_sequence
@@ -37,31 +37,39 @@ class EnumerationSpec:
             )
 
 
-def _differentiable_prefixes(
-    codimension: int, length: int, cap: int
+def differentiable_prefixes(
+    codimensions: range,
+    caps: Sequence[int],
+    keep: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Prefixes (1, r, h_2, ...) of the given length whose first difference obeys growth.
+    """Prefixes (1, r, h_2, ...) of length len(caps) whose first difference obeys growth.
 
-    Extensions are driven by the bound on the difference sequence, so no
-    filtering happens: everything constructed is differentiable.  Yields
-    in ascending entry order, which is lexicographic order of the output.
+    r runs over the given codimensions and every h_k stays within caps[k].
+    Extensions are driven by the bound on the difference sequence, so
+    everything constructed is differentiable; a prefix (1, r, ...) that
+    `keep` rejects is dropped together with all of its extensions.  Yields in ascending
+    entry order, which is lexicographic order of the output.
     """
-    if length == 1:
-        yield (1,)
-        return
-    if codimension > cap:
-        return
+    length = len(caps)
 
-    def extend(values: tuple[int, ...], deltas: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def extend(values: tuple[int, ...], delta: int) -> Iterator[tuple[int, ...]]:
+        if keep is not None and not keep(values):
+            return
         if len(values) == length:
             yield values
             return
         d = len(values)
-        limit = min(macaulay_bound(deltas[-1], d - 1), cap - values[-1])
-        for delta in range(limit + 1):
-            yield from extend(values + (values[-1] + delta,), deltas + (delta,))
+        limit = min(macaulay_bound(delta, d - 1), caps[d] - values[-1])
+        for step in range(limit + 1):
+            yield from extend(values + (values[-1] + step,), step)
 
-    yield from extend((1, codimension), (1, codimension - 1))
+    if length == 1:
+        yield (1,)
+        return
+    for codimension in codimensions:
+        if codimension > caps[1]:
+            return
+        yield from extend((1, codimension), codimension - 1)
 
 
 def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -82,7 +90,8 @@ def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[in
     yield from extend((1, codimension))
 
 
-def _mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
+def mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
+    """The symmetric vector of the given socle degree whose first half is the prefix."""
     if socle_degree % 2:
         return prefix + prefix[::-1]
     return prefix + prefix[-2::-1]
@@ -97,7 +106,11 @@ def _symmetric_stream(spec: EnumerationSpec, prefixes) -> Iterator[HVector]:
             yield HVector((1, 1))
         return
     for prefix in prefixes(spec.codimension, e // 2 + 1, spec.entry_cap):
-        yield HVector(_mirror(prefix, e))
+        yield HVector(mirror(prefix, e))
+
+
+def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
+    return differentiable_prefixes(range(codimension, codimension + 1), (cap,) * length)
 
 
 def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
@@ -127,7 +140,7 @@ def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
     elif spec.filter is SequenceFilter.SYMMETRIC:
         yield from _symmetric_stream(spec, _free_prefixes)
     elif spec.filter is SequenceFilter.SI:
-        yield from _symmetric_stream(spec, _differentiable_prefixes)
+        yield from _symmetric_stream(spec, _si_prefixes)
     elif spec.filter is SequenceFilter.SYMMETRIC_NOT_SI:
         for h in _symmetric_stream(spec, _free_prefixes):
             if not is_si_sequence(h.entries):
@@ -143,6 +156,8 @@ def count_by_degree(
     filter: SequenceFilter,
 ) -> dict[int, int]:
     """Stream length of each per-degree enumeration up to the maximum degree."""
+    if max_socle_degree < 0:
+        raise ValueError(f"socle degree must be >= 0, got {max_socle_degree}")
     counts = {}
     for e in range(max_socle_degree + 1):
         spec = EnumerationSpec(

@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 from .binomials import macaulay_bound
 
 
-def _strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
+def strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
     entries = tuple(seq)
     end = len(entries)
     while end > 0 and entries[end - 1] == 0:
@@ -29,7 +29,7 @@ class HVector:
     entries: tuple[int, ...]
 
     def __init__(self, entries: Sequence[int]) -> None:
-        normalized = _strip_trailing_zeros(int(x) for x in entries)
+        normalized = strip_trailing_zeros(int(x) for x in entries)
         if not normalized:
             raise ValueError("h-vector has no positive entry")
         if normalized[0] != 1:
@@ -74,7 +74,7 @@ def o_sequence_violation(seq: Sequence[int]) -> int | None:
         raise ValueError("growth check needs a sequence starting with 1")
     if any(x < 0 for x in entries):
         raise ValueError("growth check needs non-negative entries")
-    entries = _strip_trailing_zeros(entries)
+    entries = strip_trailing_zeros(entries)
     for d in range(1, len(entries) - 1):
         if entries[d + 1] > macaulay_bound(entries[d], d):
             return d

@@ -8,8 +8,9 @@ none of it shares a code path with the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def pascal_row(n: int) -> list[int]:
@@ -49,6 +50,56 @@ def all_expansions(n: int, i: int) -> list[tuple[tuple[int, int], ...]]:
 
     go(i, n, n + i + 2, [])
     return results
+
+
+@lru_cache(maxsize=None)
+def naive_bound(n: int, i: int) -> int:
+    """Largest successor of n in degree i+1, read off its only legal expansion."""
+    if n == 0:
+        return 0
+    (terms,) = all_expansions(n, i)
+    return sum(pascal_binom(t + 1, b + 1) for t, b in terms)
+
+
+def naive_obeys_growth(seq: Sequence[int]) -> bool:
+    """Every step from degree d >= 1 respects naive_bound; a zero tail is ignored."""
+    values = list(seq)
+    while values and values[-1] == 0:
+        values.pop()
+    return all(values[d + 1] <= naive_bound(values[d], d) for d in range(1, len(values) - 1))
+
+
+@lru_cache(maxsize=None)
+def naive_si_sequences(socle: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """Every SI-sequence (1, a_1, ..., a_socle) with entries <= top, in lexicographic order.
+
+    Free first halves are mirrored, then kept when their first difference
+    is non-negative and obeys growth.
+    """
+    found = []
+    for middle in product(range(1, top + 1), repeat=socle // 2):
+        half = (1,) + middle
+        diff = (1,) + tuple(half[k] - half[k - 1] for k in range(1, len(half)))
+        if min(diff) >= 0 and naive_obeys_growth(diff):
+            found.append(half + half[::-1] if socle % 2 else half + half[-2::-1])
+    return tuple(found)
+
+
+def naive_subtrahends(
+    h: Sequence[int], pivot: int, max_codim: int
+) -> list[tuple[int, ...]]:
+    """SI-sequences (1, a_1, ..., a_{e-pivot}) with a_1 <= max_codim and a_k <= h[pivot+k]."""
+    return [
+        a
+        for a in naive_si_sequences(len(h) - 1 - pivot, max(h))
+        if (len(a) < 2 or a[1] <= max_codim)
+        and all(x <= y for x, y in zip(a, h[pivot:]))
+    ]
+
+
+def naive_residual(h: Sequence[int], pivot: int, a: Sequence[int]) -> tuple[int, ...]:
+    """h minus a placed at degrees pivot, pivot+1, ..."""
+    return tuple(x - (a[d - pivot] if d >= pivot else 0) for d, x in enumerate(h))
 
 
 def exponent_vectors(num_variables: int, degree: int) -> list[tuple[int, ...]]:

@@ -179,11 +179,18 @@ class TestEnumerate:
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[-1] == {"degree": 4, "count": 4}
 
-    def test_invalid_cap_exits_two(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--degree", "2", "--codim", "3",
-                           "--cap", "1")
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--degree", "2", "--codim", "3", "--cap", "1"], "cap"),
+            (["--degree", "-1", "--codim", "3", "--count-only"], "socle degree"),
+        ],
+        ids=["cap-below-codim", "negative-degree-count-only"],
+    )
+    def test_invalid_cap_exits_two(self, capsys, argv, fragment):
+        code, _, err = run(capsys, "enumerate", *argv)
         assert code == 2
-        assert "cap" in err
+        assert fragment in err
 
     def test_unknown_filter_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

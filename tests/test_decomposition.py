@@ -1,5 +1,14 @@
+import json
+from math import comb
+
 import pytest
 
+from bruteforce import (
+    full_box_vectors,
+    naive_obeys_growth,
+    naive_residual,
+    naive_subtrahends,
+)
 from hvectors import (
     HVector,
     PivotDecomposition,
@@ -9,10 +18,12 @@ from hvectors import (
     find_pivot_decomposition,
     is_o_sequence,
     is_si_sequence,
+    is_symmetric,
     refute_non_si,
     verify_decomposition_traces,
 )
-from hvectors.decomposition import _candidate_subtrahends, _residual
+from hvectors.cli import main
+from hvectors.decomposition import _residual, _subtrahends
 
 
 class TestFind:
@@ -27,7 +38,7 @@ class TestFind:
         h = HVector((1, 3, 4, 3, 1))
         valid = [
             c
-            for c in _candidate_subtrahends(h, 1, max_codim=3)
+            for c in _subtrahends(h, 1, 3, prune=False)
             if is_o_sequence(_residual(h, 1, c))
         ]
         assert valid == [(1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, 1)]
@@ -72,6 +83,42 @@ class TestFind:
             decomposition = find_pivot_decomposition(HVector(entries), 1)
             a = decomposition.subtrahend
             assert a == tuple(reversed(a))
+
+    def test_search_matches_the_naive_oracle_on_the_box(self):
+        # every (1, r, ...) with r <= 3, e <= 6, entries <= 6, at every pivot
+        for r in (1, 2, 3):
+            for e in range(1, 7):
+                for h in full_box_vectors(e, r, 6):
+                    for pivot in range(1, e + 1):
+                        expected = next(
+                            (
+                                a
+                                for a in naive_subtrahends(h, pivot, max(h))
+                                if naive_obeys_growth(naive_residual(h, pivot, a))
+                            ),
+                            None,
+                        )
+                        found = find_pivot_decomposition(HVector(h), pivot)
+                        assert (found.subtrahend if found else None) == expected, (h, pivot)
+                    if r == 3 and is_symmetric(h) and not is_si_sequence(h):
+                        report = refute_non_si(HVector(h))
+                        assert report.survivors == (), h
+                        refuted = [c.subtrahend for c in report.refuted]
+                        assert refuted == naive_subtrahends(h, 1, 3), h
+
+    def test_generic_vector_at_socle_degree_fifty(self, capsys):
+        e = 50
+        h = HVector(tuple(comb(min(d, e - d) + 2, 2) for d in range(e + 1)))
+        assert h[25] == comb(27, 2)
+        assert main(["decompose", str(h), "--json"]) == 0
+        certificate = json.loads(capsys.readouterr().out)["certificate"]
+        decomposition = PivotDecomposition(
+            pivot=certificate["pivot"],
+            subtrahend=tuple(certificate["subtrahend"]),
+            residual=tuple(certificate["residual"]),
+        )
+        verify_decomposition_traces(h, decomposition)  # raises on any failure
+        assert naive_obeys_growth(decomposition.residual)
 
 
 class TestTraces:
