@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
 from .binomials import expand
 from .decomposition import (
-    PreconditionViolatedError,
     TraceViolationError,
-    UnsupportedCodimensionError,
     find_pivot_decomposition,
     refute_non_si,
     verify_decomposition_traces,
@@ -56,23 +55,27 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_IMPOSSIBLE = 4
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+# Checked in order: NotAnOSequenceError is a ValueError, so it must come first.
+# The ValueError row also covers UnsupportedCodimensionError,
+# PreconditionViolatedError and the HVector and EnumerationSpec checks.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (NotAnOSequenceError, EXIT_NEGATIVE),
+    (TraceViolationError, EXIT_IMPOSSIBLE),
+    (ValueError, EXIT_USAGE),
+)
+
 
 def _parse_hvector(text: str) -> HVector:
-    tokens = [t.strip() for t in text.split(",")]
     values = []
-    for token in tokens:
+    for token in (t.strip() for t in text.split(",")):
         if not token:
             raise ValueError(f"empty entry in {text!r}")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"not an integer: {token!r}") from None
+        if not _INTEGER.fullmatch(token):
+            raise ValueError(f"not an integer: {token!r}")
+        values.append(int(token))
     return HVector(values)
-
-
-def _fail(message: str, code: int = EXIT_USAGE) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _render_entries(entries: Sequence[int]) -> str:
@@ -111,19 +114,15 @@ def _json_report(h: HVector, certificate) -> str:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.n < 1:
-        return _fail("n must be positive")
+        raise ValueError("n must be positive")
     if args.i < 1:
-        return _fail("i must be positive")
+        raise ValueError("i must be positive")
     expansion = expand(args.n, args.i)
     print(f"{args.n} = {expansion}; bound = {expansion.bound()}")
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
+def _cmd_check(h: HVector, args: argparse.Namespace) -> int:
     si = not si_violations(h.entries)
     if args.json:
         print(_json_report(h, certificate=None))
@@ -135,11 +134,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if si else EXIT_NEGATIVE
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
+def _cmd_classify(h: HVector, args: argparse.Namespace) -> int:
     report = classify_gorenstein(h)
     if args.json:
         certificate = {
@@ -162,44 +157,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     }[report.verdict]
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        table = lex_segment_realization(h)
-    except NotAnOSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+def _cmd_realize(h: HVector, args: argparse.Namespace) -> int:
+    table = lex_segment_realization(h)
     for degree, level in enumerate(table.per_degree):
         print(f"degree {degree}: {', '.join(render_monomial(m) for m in level)}")
     return EXIT_OK
 
 
-def _cmd_socle(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        table = lex_segment_realization(h)
-    except NotAnOSequenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    print(str(socle_vector(table)))
+def _cmd_socle(h: HVector, args: argparse.Namespace) -> int:
+    print(str(socle_vector(lex_segment_realization(h))))
     return EXIT_OK
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        decomposition = find_pivot_decomposition(h, args.pivot)
-    except (UnsupportedCodimensionError, ValueError) as exc:
-        return _fail(str(exc))
+def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
+    decomposition = find_pivot_decomposition(h, args.pivot)
     if decomposition is None:
         print(
             f"error: no decomposition of {h} exists at pivot {args.pivot}",
@@ -208,11 +179,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     traces = []
     if args.pivot == 1 and h.codimension == 3 and symmetry_violation(h.entries) is None:
-        try:
-            traces = verify_decomposition_traces(h, decomposition)
-        except TraceViolationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IMPOSSIBLE
+        traces = verify_decomposition_traces(h, decomposition)
     if args.json:
         certificate = {
             "pivot": decomposition.pivot,
@@ -244,15 +211,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_refute(args: argparse.Namespace) -> int:
-    try:
-        h = _parse_hvector(args.hvector)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        report = refute_non_si(h)
-    except PreconditionViolatedError as exc:
-        return _fail(str(exc))
+def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
+    report = refute_non_si(h)
     if args.json:
         certificate = {
             "candidates": [
@@ -280,24 +240,48 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     filter_ = SequenceFilter(args.filter)
-    try:
-        if args.count_only:
-            counts = count_by_degree(args.codim, args.degree, args.cap, filter_)
-            for degree in sorted(counts):
-                print(json.dumps({"degree": degree, "count": counts[degree]},
-                                 separators=(",", ":")))
-            return EXIT_OK
-        spec = EnumerationSpec(
-            socle_degree=args.degree,
-            codimension=args.codim,
-            entry_cap=args.cap,
-            filter=filter_,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.count_only:
+        counts = count_by_degree(args.codim, args.degree, args.cap, filter_)
+        for degree in sorted(counts):
+            print(json.dumps({"degree": degree, "count": counts[degree]},
+                             separators=(",", ":")))
+        return EXIT_OK
+    spec = EnumerationSpec(
+        socle_degree=args.degree,
+        codimension=args.codim,
+        entry_cap=args.cap,
+        filter=filter_,
+    )
     for h in enumerate_hvectors(spec):
         print(json.dumps({"h": list(h.entries)}, separators=(",", ":")))
     return EXIT_OK
+
+
+_HVECTOR = ("hvector", {})
+_JSON = ("--json", {"action": "store_true"})
+
+# name: (handler, help, ((flag, add_argument keywords), ...)).  A command
+# whose flags include _HVECTOR gets the parsed HVector as its first argument.
+_COMMANDS = {
+    "expand": (_cmd_expand, "i-binomial expansion and growth bound",
+               (("n", {"type": int}), ("i", {"type": int}))),
+    "check": (_cmd_check, "run every predicate on an h-vector", (_HVECTOR, _JSON)),
+    "classify": (_cmd_classify, "three-way Gorenstein verdict", (_HVECTOR, _JSON)),
+    "realize": (_cmd_realize, "lex-smallest monomial realization", (_HVECTOR,)),
+    "socle": (_cmd_socle, "socle vector of the realization", (_HVECTOR,)),
+    "decompose": (_cmd_decompose, "find a pivot decomposition",
+                  (_HVECTOR, ("--pivot", {"type": int, "default": 1}), _JSON)),
+    "refute": (_cmd_refute,
+               "exhaust decomposition candidates against a symmetric non-SI input",
+               (_HVECTOR, _JSON)),
+    "enumerate": (_cmd_enumerate, "stream an h-vector family as JSON lines", (
+        ("--degree", {"type": int, "required": True}),
+        ("--codim", {"type": int, "required": True}),
+        ("--cap", {"type": int, "default": 25}),
+        ("--filter", {"default": "si", "choices": [f.value for f in SequenceFilter]}),
+        ("--count-only", {"action": "store_true"}),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,62 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Growth bounds, h-vector predicates and Gorenstein classification.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p_expand = subparsers.add_parser("expand", help="i-binomial expansion and growth bound")
-    p_expand.add_argument("n", type=int)
-    p_expand.add_argument("i", type=int)
-    p_expand.set_defaults(func=_cmd_expand)
-
-    p_check = subparsers.add_parser("check", help="run every predicate on an h-vector")
-    p_check.add_argument("hvector")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_classify = subparsers.add_parser("classify", help="three-way Gorenstein verdict")
-    p_classify.add_argument("hvector")
-    p_classify.add_argument("--json", action="store_true")
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_realize = subparsers.add_parser("realize", help="lex-smallest monomial realization")
-    p_realize.add_argument("hvector")
-    p_realize.set_defaults(func=_cmd_realize)
-
-    p_socle = subparsers.add_parser("socle", help="socle vector of the realization")
-    p_socle.add_argument("hvector")
-    p_socle.set_defaults(func=_cmd_socle)
-
-    p_decompose = subparsers.add_parser("decompose", help="find a pivot decomposition")
-    p_decompose.add_argument("hvector")
-    p_decompose.add_argument("--pivot", type=int, default=1)
-    p_decompose.add_argument("--json", action="store_true")
-    p_decompose.set_defaults(func=_cmd_decompose)
-
-    p_refute = subparsers.add_parser(
-        "refute", help="exhaust decomposition candidates against a symmetric non-SI input"
-    )
-    p_refute.add_argument("hvector")
-    p_refute.add_argument("--json", action="store_true")
-    p_refute.set_defaults(func=_cmd_refute)
-
-    p_enum = subparsers.add_parser("enumerate", help="stream an h-vector family as JSON lines")
-    p_enum.add_argument("--degree", type=int, required=True)
-    p_enum.add_argument("--codim", type=int, required=True)
-    p_enum.add_argument("--cap", type=int, default=25)
-    p_enum.add_argument(
-        "--filter",
-        default="si",
-        choices=[f.value for f in SequenceFilter],
-    )
-    p_enum.add_argument("--count-only", action="store_true")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        if "hvector" in args:
+            return args.func(_parse_hvector(args.hvector), args)
+        return args.func(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

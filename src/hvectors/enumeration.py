@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .binomials import macaulay_bound
@@ -74,20 +75,8 @@ def differentiable_prefixes(
 
 def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Prefixes (1, r, h_2, ...) with arbitrary positive entries up to the cap."""
-    if length == 1:
-        yield (1,)
-        return
-    if codimension > cap:
-        return
-
-    def extend(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(values) == length:
-            yield values
-            return
-        for value in range(1, cap + 1):
-            yield from extend(values + (value,))
-
-    yield from extend((1, codimension))
+    for tail in product(range(1, cap + 1), repeat=length - 2):
+        yield (1, codimension) + tail
 
 
 def mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
@@ -127,8 +116,6 @@ def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
         for value in range(1, limit + 1):
             yield from extend(values + (value,))
 
-    if spec.codimension > spec.entry_cap:
-        return
     for values in extend((1, spec.codimension)):
         yield HVector(values)
 

@@ -214,13 +214,17 @@ def max_growth_bruteforce(
     return best
 
 
-def complete_intersection_hvector(a: int, b: int, c: int) -> HVector:
-    """Coefficients of prod over k in (a, b, c) of (1 + t + ... + t^(k-1))."""
-    for exponent in (a, b, c):
+def _check_exponents(exponents: tuple[int, ...]) -> None:
+    for exponent in exponents:
         if exponent < 2:
             raise ValueError(f"exponents must be >= 2, got {exponent}")
+
+
+def complete_intersection_hvector(*exponents: int) -> HVector:
+    """Coefficients of the product over the exponents k of (1 + t + ... + t^(k-1))."""
+    _check_exponents(exponents)
     coeffs = [1]
-    for k in (a, b, c):
+    for k in exponents:
         result = [0] * (len(coeffs) + k - 1)
         for p, x in enumerate(coeffs):
             for q in range(k):
@@ -229,20 +233,16 @@ def complete_intersection_hvector(a: int, b: int, c: int) -> HVector:
     return HVector(tuple(coeffs))
 
 
-def complete_intersection_table(a: int, b: int, c: int) -> SurvivorTable:
+def complete_intersection_table(*exponents: int) -> SurvivorTable:
     """Survivors of the quotient by pure powers with the given exponents."""
-    for exponent in (a, b, c):
-        if exponent < 2:
-            raise ValueError(f"exponents must be >= 2, got {exponent}")
-    caps = (a, b, c)
-    top = a + b + c - 3
-    levels = []
-    for degree in range(top + 1):
-        levels.append(
-            tuple(
-                m
-                for m in monomials_of_degree(3, degree)
-                if all(m[i] < caps[i] for i in range(3))
-            )
+    _check_exponents(exponents)
+    num_variables = len(exponents)
+    levels = tuple(
+        tuple(
+            m
+            for m in monomials_of_degree(num_variables, degree)
+            if all(e < k for e, k in zip(m, exponents))
         )
-    return SurvivorTable(num_variables=3, per_degree=tuple(levels))
+        for degree in range(sum(exponents) - num_variables + 1)
+    )
+    return SurvivorTable(num_variables=num_variables, per_degree=levels)

@@ -66,6 +66,11 @@ class TestCheck:
         assert code == 2
         assert "'x'" in err
 
+    def test_digit_separator_is_not_an_integer(self, capsys):
+        code, _, err = run(capsys, "check", "1,3_0")
+        assert code == 2
+        assert err == "error: not an integer: '3_0'\n"
+
     def test_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "check", "1,3,6,6,5,6,6,3,1", "--json")
         payload = json.loads(out)
@@ -197,6 +202,23 @@ class TestEnumerate:
             run(capsys, "enumerate", "--degree", "2", "--codim", "3",
                 "--filter", "bogus")
         assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (command, text)
+        for command in ("check", "classify", "realize", "socle", "decompose", "refute")
+        for text in ("1,x,2", "1,,2", "1,0,2", "2,3,1")
+    ]
+    + [("decompose", "1,3,4,3,1", "--pivot", "0")],
+)
+def test_malformed_input_exits_two_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 def test_bad_subcommand_is_a_usage_error(capsys):

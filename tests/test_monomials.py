@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -124,11 +126,10 @@ class TestSocle:
             assert all(x >= 0 for x in vector.entries)
 
     def test_monomial_complete_intersections_are_gorenstein(self):
-        for a in range(2, 5):
-            for b in range(a, 5):
-                for c in range(b, 5):
-                    vector = socle_vector(complete_intersection_table(a, b, c))
-                    assert vector.is_gorenstein, (a, b, c)
+        for count in (2, 3, 4):
+            for exponents in combinations_with_replacement(range(2, 5), count):
+                vector = socle_vector(complete_intersection_table(*exponents))
+                assert vector.is_gorenstein, exponents
 
 
 class TestMaxGrowth:
@@ -175,6 +176,8 @@ class TestCompleteIntersections:
     def test_product_examples(self):
         assert complete_intersection_hvector(2, 2, 2).entries == (1, 3, 3, 1)
         assert complete_intersection_hvector(2, 2, 3).entries == (1, 3, 4, 3, 1)
+        assert complete_intersection_hvector(2, 2).entries == (1, 2, 1)
+        assert complete_intersection_hvector(2, 2, 2, 2).entries == (1, 4, 6, 4, 1)
 
     def test_rejects_small_exponents(self):
         with pytest.raises(ValueError):
@@ -195,9 +198,8 @@ class TestCompleteIntersections:
         assert is_si_sequence(h.entries)
 
     def test_vector_agrees_with_exponent_capped_table(self):
-        for a in range(2, 5):
-            for b in range(a, 5):
-                for c in range(b, 5):
-                    product_form = complete_intersection_hvector(a, b, c)
-                    table_form = hilbert_function(complete_intersection_table(a, b, c))
-                    assert product_form == table_form
+        for count in (2, 3, 4):
+            for exponents in combinations_with_replacement(range(2, 5), count):
+                product_form = complete_intersection_hvector(*exponents)
+                table_form = hilbert_function(complete_intersection_table(*exponents))
+                assert product_form == table_form, exponents

@@ -1,0 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_catalog_counts_on_a_small_box():
+    result = run_script("gorenstein_catalog.py", "--max-degree", "6")
+    assert result.returncode == 0, result.stderr
+    counts = [int(line.split(":")[1].split()[0])
+              for line in result.stdout.splitlines() if line.startswith("socle degree")]
+    assert counts[2:] == [1, 1, 4, 4, 11]
+
+
+def test_verification_campaign_on_a_small_box():
+    result = run_script("exhaustive_verification.py",
+                        "--max-degree", "5", "--grid-n", "4", "--grid-i", "2")
+    assert result.returncode == 0, result.stderr
