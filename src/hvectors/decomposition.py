@@ -103,15 +103,14 @@ class RefutationReport:
         return len(self.refuted) + len(self.survivors)
 
 
-def _subtrahends(
-    h: HVector, pivot: int, max_codim: int, prune: bool
-) -> Iterator[tuple[int, ...]]:
-    """SI-sequences (1, a_1, ..., a_{e-pivot}) of codimension <= max_codim fitting under h.
+def _subtrahends(h: HVector, pivot: int, prune: bool) -> Iterator[tuple[int, ...]]:
+    """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h.
 
     These are the candidate subtrahends after re-indexing: an SI-sequence
-    of small codimension is a Gorenstein h-vector, and in the pivot-1,
-    codimension-3 regime every admissible subtrahend has codimension <= 3,
-    so the family below is exhaustive there.  Candidates come in ascending
+    of small codimension is a Gorenstein h-vector.  The codimension a_1 is
+    bounded by the caps alone; for a symmetric codimension-3 h at pivot 1
+    it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family below is
+    exhaustive in that regime.  Candidates come in ascending
     lexicographic order.  With `prune`, a first half is abandoned as soon
     as the residual entry it fixes breaks growth from the one before; that
     entry is then positive, so the full residual fails the growth check too.
@@ -125,7 +124,8 @@ def _subtrahends(
         return h[d] - prefix[-1] <= macaulay_bound(h[d - 1] - prefix[-2], d - 1)
 
     keep = residual_step_holds if prune else None
-    for prefix in differentiable_prefixes(range(1, max_codim + 1), caps, keep):
+    # the walk stops past caps[1]; max(caps) also covers socle 0, where caps has one entry
+    for prefix in differentiable_prefixes(range(1, max(caps) + 1), caps, keep):
         yield mirror(prefix, socle)
 
 
@@ -150,9 +150,8 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
         )
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
-    # candidates arrive in ascending lexicographic order, so first valid wins;
-    # the entry caps alone bound the codimension here
-    for subtrahend in _subtrahends(h, pivot, max_codim=max(h), prune=True):
+    # candidates arrive in ascending lexicographic order, so first valid wins
+    for subtrahend in _subtrahends(h, pivot, prune=True):
         residual = _residual(h, pivot, subtrahend)
         if o_sequence_violation(residual) is None:
             return PivotDecomposition(pivot=pivot, subtrahend=subtrahend, residual=residual)
@@ -176,7 +175,7 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []
-    for subtrahend in _subtrahends(h, 1, max_codim=3, prune=False):
+    for subtrahend in _subtrahends(h, 1, prune=False):
         residual = _residual(h, 1, subtrahend)
         violation = _first_residual_violation(residual)
         if violation is None:

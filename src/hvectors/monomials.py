@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .binomials import macaulay_bound
 from .sequences import HVector
 
 Monomial = tuple[int, ...]
@@ -84,8 +85,9 @@ def _divisor_masks(num_variables: int, degree: int) -> tuple[int, ...]:
 class SurvivorTable:
     """Per-degree standard monomials of a monomial quotient.
 
-    The complement is closed under multiplication by variables: a monomial
-    survives exactly when all of its one-step divisors survive.
+    The complement is closed under multiplication by variables, so every
+    one-step divisor of a survivor survives too; a monomial whose divisors
+    all survive may still be cut.
     """
 
     num_variables: int
@@ -97,29 +99,22 @@ class SurvivorTable:
 
 
 def lex_segment_realization(h: HVector) -> SurvivorTable:
-    """Realize h by keeping, in each degree, the h_d smallest eligible monomials.
+    """Realize h by keeping, in each degree, the h_d smallest monomials.
 
-    Eligible means every one-step divisor survived the previous degree.
-    Succeeds exactly when h satisfies Macaulay growth at every step; the
-    reported failure degree is the first degree whose entry is too large.
+    By Macaulay's theorem the monomials whose one-step divisors all lie in
+    a final lex segment of size n in degree d-1 form the final lex segment
+    of size macaulay_bound(n, d-1) in degree d, so each level is the last
+    h_d monomials of its degree.  Succeeds exactly when h satisfies
+    Macaulay growth at every step; the reported failure degree is the
+    first degree whose entry is too large.
     """
     num_variables = h.codimension
     levels: list[tuple[Monomial, ...]] = [monomials_of_degree(num_variables, 0)]
-    survivor_mask = 1
     for degree in range(1, h.socle_degree + 1):
-        all_monomials = monomials_of_degree(num_variables, degree)
-        masks = _divisor_masks(num_variables, degree)
-        candidates = [
-            k for k, mask in enumerate(masks) if mask & survivor_mask == mask
-        ]
-        needed = h[degree]
-        if len(candidates) < needed:
-            raise NotAnOSequenceError(degree, len(candidates), needed)
-        chosen = candidates[len(candidates) - needed :]
-        levels.append(tuple(all_monomials[k] for k in chosen))
-        survivor_mask = 0
-        for k in chosen:
-            survivor_mask |= 1 << k
+        available = macaulay_bound(h[degree - 1], degree - 1) if degree > 1 else num_variables
+        if h[degree] > available:
+            raise NotAnOSequenceError(degree, available, h[degree])
+        levels.append(monomials_of_degree(num_variables, degree)[-h[degree] :])
     return SurvivorTable(num_variables=num_variables, per_degree=tuple(levels))
 
 
@@ -142,23 +137,13 @@ class SocleVector:
 
 
 def socle_vector(table: SurvivorTable) -> SocleVector:
+    """Count, per degree, the survivors that divide no survivor of the next degree."""
+    levels = table.per_degree
     entries = []
-    for degree, level in enumerate(table.per_degree):
-        if degree + 1 < len(table.per_degree):
-            above = set(table.per_degree[degree + 1])
-        else:
-            above = set()
-        count = 0
-        for monomial in level:
-            killed = True
-            for i in range(table.num_variables):
-                bumped = monomial[:i] + (monomial[i] + 1,) + monomial[i + 1 :]
-                if bumped in above:
-                    killed = False
-                    break
-            if killed:
-                count += 1
-        entries.append(count)
+    for degree, level in enumerate(levels):
+        above = levels[degree + 1] if degree + 1 < len(levels) else ()
+        covered = {divisor for monomial in above for divisor in divisors(monomial)}
+        entries.append(sum(1 for monomial in level if monomial not in covered))
     return SocleVector(tuple(entries))
 
 

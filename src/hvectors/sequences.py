@@ -21,15 +21,20 @@ def strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
 class HVector:
     """Graded dimension vector (h_0, ..., h_e) with h_0 = 1 and h_e > 0.
 
-    Trailing zeros are stripped on construction so the socle degree e is
-    well defined; internal zeros are rejected because no later degree can
-    be positive once one vanishes.
+    Every entry must be an int (bool is not accepted).  Trailing zeros are
+    stripped on construction so the socle degree e is well defined;
+    internal zeros are rejected because no later degree can be positive
+    once one vanishes.
     """
 
     entries: tuple[int, ...]
 
     def __init__(self, entries: Sequence[int]) -> None:
-        normalized = strip_trailing_zeros(int(x) for x in entries)
+        entries = tuple(entries)
+        for degree, value in enumerate(entries):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"entry {value!r} at degree {degree} is not an integer")
+        normalized = strip_trailing_zeros(entries)
         if not normalized:
             raise ValueError("h-vector has no positive entry")
         if normalized[0] != 1:

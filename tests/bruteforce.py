@@ -112,6 +112,48 @@ def exponent_vectors(num_variables: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
+def naive_lex_realization(
+    h: Sequence[int],
+) -> tuple[list[tuple[tuple[int, ...], ...]], tuple[int, int, int] | None]:
+    """Lex realization by its definition, one degree at a time.
+
+    In each degree keep the h_d smallest monomials whose one-step divisors
+    all survived the degree before.  Returns the survivor levels, each
+    listed largest first, and None; or, at the first degree with too few
+    eligible monomials, the levels so far and (degree, eligible, needed).
+    """
+    r = h[1] if len(h) > 1 else 0
+    levels = [((0,) * r,)]
+    for degree in range(1, len(h)):
+        survived = set(levels[-1])
+        eligible = [
+            m
+            for m in exponent_vectors(r, degree)  # ascending, smallest first
+            if all(m[:v] + (m[v] - 1,) + m[v + 1 :] in survived for v in range(r) if m[v])
+        ]
+        if len(eligible) < h[degree]:
+            return levels, (degree, len(eligible), h[degree])
+        levels.append(tuple(reversed(eligible[: h[degree]])))
+    return levels, None
+
+
+def naive_socle(table) -> tuple[int, ...]:
+    """Per degree, the survivors m with no x_v * m among the next degree's survivors."""
+    r = table.num_variables
+    levels = table.per_degree
+    counts = []
+    for degree, level in enumerate(levels):
+        above = set(levels[degree + 1]) if degree + 1 < len(levels) else set()
+        counts.append(
+            sum(
+                1
+                for m in level
+                if not any(m[:v] + (m[v] + 1,) + m[v + 1 :] in above for v in range(r))
+            )
+        )
+    return tuple(counts)
+
+
 def naive_max_growth(n: int, i: int, r: int) -> int:
     """Literal maximum over all n-subsets of degree-i monomials.
 

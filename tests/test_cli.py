@@ -26,6 +26,8 @@ def run(capsys, *argv):
         (("enumerate", "--degree", "4", "--codim", "3", "--filter", "si"),
          "enumerate_si_d4.txt", 0),
         (("classify", "1,3,3,1", "--json"), "classify_1-3-3-1.json", 0),
+        (("realize", "1,4,7,9"), "realize_1-4-7-9.txt", 0),
+        (("socle", "1,3,4,3,2"), "socle_1-3-4-3-2.txt", 0),
     ],
 )
 def test_golden_outputs(capsys, argv, golden, code):

@@ -38,7 +38,7 @@ class TestFind:
         h = HVector((1, 3, 4, 3, 1))
         valid = [
             c
-            for c in _subtrahends(h, 1, 3, prune=False)
+            for c in _subtrahends(h, 1, prune=False)
             if is_o_sequence(_residual(h, 1, c))
         ]
         assert valid == [(1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, 1)]

@@ -1,14 +1,16 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import naive_max_growth
+from bruteforce import naive_bound, naive_lex_realization, naive_max_growth, naive_socle
 from hvectors import (
     HVector,
     InfeasibleSearchError,
     NotAnOSequenceError,
+    SurvivorTable,
     binom,
     complete_intersection_hvector,
     complete_intersection_table,
@@ -130,6 +132,45 @@ class TestSocle:
             for exponents in combinations_with_replacement(range(2, 5), count):
                 vector = socle_vector(complete_intersection_table(*exponents))
                 assert vector.is_gorenstein, exponents
+
+
+def test_realization_and_socle_match_the_naive_oracles():
+    rng = random.Random(2004)
+    tables = []
+    shortfalls = 0
+    for _ in range(600):
+        entries = [1, rng.randint(1, 6)]
+        for degree in range(2, rng.randint(1, 5) + 1):
+            entries.append(rng.randint(1, naive_bound(entries[-1], degree - 1) + 2))
+        levels, shortfall = naive_lex_realization(entries)
+        if shortfall is None:
+            table = lex_segment_realization(HVector(entries))
+            assert table.per_degree == tuple(levels), entries
+            tables.append(table)
+        else:
+            shortfalls += 1
+            with pytest.raises(NotAnOSequenceError) as exc_info:
+                lex_segment_realization(HVector(entries))
+            error = exc_info.value
+            assert (error.degree, error.available, error.requested) == shortfall, entries
+    assert tables and shortfalls  # the sample reaches both outcomes
+
+    for count in (2, 3, 4):
+        for exponents in combinations_with_replacement(range(2, 5), count):
+            tables.append(complete_intersection_table(*exponents))
+    # x2^2 survives without its divisor x2, so this is not an order ideal
+    tables.append(
+        SurvivorTable(
+            num_variables=3,
+            per_degree=(
+                ((0, 0, 0),),
+                ((1, 0, 0), (0, 0, 1)),
+                ((1, 0, 1), (0, 2, 0), (0, 0, 2)),
+            ),
+        )
+    )
+    for table in tables:
+        assert socle_vector(table).entries == naive_socle(table), table
 
 
 class TestMaxGrowth:

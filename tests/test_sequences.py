@@ -66,6 +66,20 @@ class TestHVector:
         with pytest.raises(ValueError):
             HVector(bad)
 
+    @pytest.mark.parametrize(
+        "bad, degree",
+        [
+            ((1, 2.7, 1.2), 1),
+            (("1", "3", "3", "1"), 0),
+            ((1, 3, 3.0, 1), 2),
+            ((1, 2, 1, 0.0), 3),
+            ((True, 1), 0),
+        ],
+    )
+    def test_rejects_non_integer_entries(self, bad, degree):
+        with pytest.raises(ValueError, match=f"at degree {degree} is not an integer"):
+            HVector(bad)
+
 
 class TestOSequence:
     def test_generic_growth(self):
