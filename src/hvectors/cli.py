@@ -4,12 +4,14 @@ Exit codes: 0 success (SI / Gorenstein / clean search), 1 negative result
 (predicate failure, NotGorenstein, no realization or decomposition),
 2 malformed input or violated precondition, 3 Undecided classification,
 4 mathematically impossible outcome (a refutation survivor or a failing
-growth trace, i.e. an implementation bug).
+growth trace, i.e. an implementation bug), 5 budget exceeded (a search
+that would run past its fixed budget).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -29,6 +31,7 @@ from .enumeration import (
     enumerate_hvectors,
 )
 from .monomials import (
+    InfeasibleSearchError,
     NotAnOSequenceError,
     lex_segment_realization,
     render_monomial,
@@ -54,6 +57,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_IMPOSSIBLE = 4
+EXIT_BUDGET = 5
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -63,6 +67,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (NotAnOSequenceError, EXIT_NEGATIVE),
     (TraceViolationError, EXIT_IMPOSSIBLE),
+    (InfeasibleSearchError, EXIT_BUDGET),
     (ValueError, EXIT_USAGE),
 )
 
@@ -284,7 +289,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hvec` parser, built on first use and shared by every later `main` call.
+
+    Sharing is safe: each `parse_args` call fills a fresh namespace, and
+    no flag has a mutable default.
+    """
     parser = argparse.ArgumentParser(
         prog="hvec",
         description="Growth bounds, h-vector predicates and Gorenstein classification.",

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator
 
 from .binomials import binom, macaulay_bound
 from .enumeration import differentiable_prefixes, mirror
+from .monomials import InfeasibleSearchError
 from .sequences import (
     HVector,
     is_si_sequence,
@@ -28,6 +30,11 @@ from .sequences import (
     o_sequence_violation,
     strip_trailing_zeros,
 )
+
+
+# Candidates the unpruned refutation may list.  No input of a cap-25 box up
+# to socle degree 30 has 1,000; listing 50,000 takes about a second.
+REFUTE_CANDIDATE_BUDGET = 50_000
 
 
 class UnsupportedCodimensionError(ValueError):
@@ -110,7 +117,10 @@ def _subtrahends(h: HVector, pivot: int, prune: bool) -> Iterator[tuple[int, ...
     of small codimension is a Gorenstein h-vector.  The codimension a_1 is
     bounded by the caps alone; for a symmetric codimension-3 h at pivot 1
     it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family below is
-    exhaustive in that regime.  Candidates come in ascending
+    exhaustive in that regime.  A first half never decreases, so each
+    a_k is capped by the smallest cap from k on; then every prefix the
+    walk builds extends to a candidate, and the walk costs at most its
+    length per candidate.  Candidates come in ascending
     lexicographic order.  With `prune`, a first half is abandoned as soon
     as the residual entry it fixes breaks growth from the one before; that
     entry is then positive, so the full residual fails the growth check too.
@@ -118,6 +128,7 @@ def _subtrahends(h: HVector, pivot: int, prune: bool) -> Iterator[tuple[int, ...
     socle = h.socle_degree - pivot
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]
     caps = [min(h[pivot + k], h[pivot + socle - k]) for k in range(socle // 2 + 1)]
+    caps = list(accumulate(reversed(caps), min))[::-1]
 
     def residual_step_holds(prefix: tuple[int, ...]) -> bool:
         d = pivot + len(prefix) - 1  # degree of the residual entry the prefix fixes last
@@ -148,6 +159,8 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
         raise UnsupportedCodimensionError(
             f"decomposition search supports codimension <= 3, got {h.codimension}"
         )
+    if h.socle_degree == 0:
+        raise ValueError(f"no pivot exists at socle degree 0, got {pivot}")
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
     # candidates arrive in ascending lexicographic order, so first valid wins
@@ -164,6 +177,7 @@ def refute_non_si(h: HVector) -> RefutationReport:
     Every candidate must leave a residual violating growth somewhere; a
     surviving candidate would contradict the codimension-3 classification
     and is surfaced as a loud implementation-bug signal by the caller.
+    Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET candidates.
     """
     if h.codimension != 3:
         raise PreconditionViolatedError(
@@ -175,7 +189,11 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []
-    for subtrahend in _subtrahends(h, 1, prune=False):
+    for count, subtrahend in enumerate(_subtrahends(h, 1, prune=False), 1):
+        if count > REFUTE_CANDIDATE_BUDGET:
+            raise InfeasibleSearchError(
+                f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
+            )
         residual = _residual(h, 1, subtrahend)
         violation = _first_residual_violation(residual)
         if violation is None:

@@ -1,9 +1,16 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hvectors.cli import main
+from hvectors.cli import build_parser, main
+from hvectors.enumeration import SequenceFilter
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -12,6 +19,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def generic_with(e, entries):
+    """The generic codimension-3 vector of socle degree e, with the given entries replaced."""
+    h = [comb(min(d, e - d) + 2, 2) for d in range(e + 1)]
+    for degree, value in entries.items():
+        h[degree] = value
+    return ",".join(map(str, h))
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse exits count as codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -151,6 +177,12 @@ class TestDecomposeAndRefute:
         assert certificate["traces"][0]["case"] == "residual_step_generic"
         assert certificate["traces"][0]["inequalities"][0]["holds"] is True
 
+    @pytest.mark.parametrize("pivot", ["0", "1"])
+    def test_socle_degree_zero_has_no_pivot(self, capsys, pivot):
+        code, out, err = run(capsys, "decompose", "1", "--pivot", pivot)
+        assert (code, out) == (2, "")
+        assert err == f"error: no pivot exists at socle degree 0, got {pivot}\n"
+
     def test_refute_si_input_exits_two(self, capsys):
         code, _, err = run(capsys, "refute", "1,3,4,3,1")
         assert code == 2
@@ -164,6 +196,22 @@ class TestDecomposeAndRefute:
         assert all(
             c["violation_degree"] >= 1 for c in payload["certificate"]["candidates"]
         )
+
+    def test_refute_over_budget_exits_five(self, capsys):
+        # every residual fails only late, so all ~1M candidates would be listed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "refute", generic_with(40, {19: 190, 21: 190}))
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (5, "")
+        assert err == "error: refutation needs more than 50000 candidates\n"
+
+    def test_refute_walks_no_dead_branches(self, capsys):
+        # the dip caps the whole first half at 3; a walk that meets the cap
+        # only at the dip builds millions of prefixes that end there
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "refute", generic_with(50, {25: 3}))
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (0, "candidates: 4, survivors: 0\n")
 
 
 class TestEnumerate:
@@ -227,3 +275,58 @@ def test_bad_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 2
+
+
+def test_parser_reuse_carries_no_state_between_calls():
+    assert build_parser() is build_parser()
+    goldens = {
+        ("decompose", "1,3,4,3,1"): "decompose_1-3-4-3-1.txt",
+        ("check", "1,3,4,3,1"): "check_1-3-4-3-1.txt",
+        ("enumerate", "--degree", "4", "--codim", "3", "--filter", "si"): "enumerate_si_d4.txt",
+    }
+    sequence = [
+        ("decompose", "1,3,4,3,1", "--pivot", "2"),
+        ("decompose", "1,3,4,3,1"),  # must fall back to pivot 1
+        ("check", "1,3,4,3,1", "--json"),
+        ("check", "1,3,4,3,1"),
+        ("decompose", "1,3,4,3,1", "--pivot", "x"),  # argparse usage error
+        ("refute", "--help"),
+        ("enumerate", "--degree", "4", "--codim", "3", "--filter", "si", "--count-only"),
+        ("enumerate", "--degree", "4", "--codim", "3", "--filter", "si"),
+    ]
+    forward = {argv: outcome(argv) for argv in sequence}
+    backward = {argv: outcome(argv) for argv in reversed(sequence)}
+    assert forward == backward
+    for argv, golden in goldens.items():
+        assert forward[argv] == (0, (GOLDEN_DIR / golden).read_text(), "")
+    assert forward[sequence[4]][0] == 2
+    assert forward[sequence[5]][0] == 0
+    assert forward[sequence[5]][1].startswith("usage: hvec refute")
+
+
+_HVECTOR_TEXT = st.lists(st.integers(-1, 12), max_size=7).map(lambda xs: ",".join(map(str, xs)))
+_JSON_FLAG = st.sampled_from([(), ("--json",)])
+_ARGVS = st.one_of(
+    st.tuples(st.just("expand"), st.integers(-2, 12).map(str), st.integers(-2, 12).map(str)),
+    st.tuples(st.sampled_from(["realize", "socle"]), _HVECTOR_TEXT),
+    st.builds(lambda command, text, flag: (command, text, *flag),
+              st.sampled_from(["check", "classify", "refute"]), _HVECTOR_TEXT, _JSON_FLAG),
+    st.builds(lambda text, pivot, flag: ("decompose", text, *pivot, *flag), _HVECTOR_TEXT,
+              st.one_of(st.just(()), st.integers(-2, 8).map(lambda p: ("--pivot", str(p)))),
+              _JSON_FLAG),
+    st.builds(lambda degree, codim, cap, filter_, count: (
+        "enumerate", "--degree", str(degree), "--codim", str(codim), "--cap", str(cap),
+        "--filter", filter_, *count),
+        st.integers(-1, 5), st.integers(0, 4), st.integers(0, 8),
+        st.sampled_from([f.value for f in SequenceFilter]),
+        st.sampled_from([(), ("--count-only",)])),
+)
+
+
+@given(_ARGVS)
+def test_fuzzed_argv_exits_with_a_documented_code_and_repeats(argv):
+    first = outcome(argv)
+    code, _, err = first
+    assert code in (0, 1, 2, 3, 5), (argv, first)  # 4 marks a bug, never a result
+    assert "Traceback" not in err
+    assert outcome(argv) == first
