@@ -5,7 +5,7 @@ Exit codes: 0 success (SI / Gorenstein / clean search), 1 negative result
 2 malformed input or violated precondition, 3 Undecided classification,
 4 mathematically impossible outcome (a refutation survivor or a failing
 growth trace, i.e. an implementation bug), 5 budget exceeded (a search
-that would run past its fixed budget).
+that would run past its fixed budget, or memory ran out).
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ from .sequences import (
 )
 
 SCHEMA_VERSION = "1"
+# version 2: a refuted entry shorter than the input stands for every
+# candidate subtrahend whose first half it is
+REFUTE_SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -68,6 +71,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (NotAnOSequenceError, EXIT_NEGATIVE),
     (TraceViolationError, EXIT_IMPOSSIBLE),
     (InfeasibleSearchError, EXIT_BUDGET),
+    (MemoryError, EXIT_BUDGET),
     (ValueError, EXIT_USAGE),
 )
 
@@ -102,7 +106,7 @@ def _predicate_violations(h: HVector) -> dict[str, int | None]:
     }
 
 
-def _json_report(h: HVector, certificate) -> str:
+def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION) -> str:
     verdicts = {
         name: {"holds": violation is None, "first_violation": violation}
         for name, violation in _predicate_violations(h).items()
@@ -112,7 +116,7 @@ def _json_report(h: HVector, certificate) -> str:
         "input": list(h.entries),
         "verdicts": verdicts,
         "certificate": certificate,
-        "version": SCHEMA_VERSION,
+        "version": version,
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -229,7 +233,7 @@ def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
             ],
             "survivors": [list(s) for s in report.survivors],
         }
-        print(_json_report(h, certificate))
+        print(_json_report(h, certificate, REFUTE_SCHEMA_VERSION))
     else:
         print(f"candidates: {report.candidate_count}, survivors: {len(report.survivors)}")
         for survivor in report.survivors:
@@ -316,7 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(_parse_hvector(args.hvector), args)
         return args.func(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

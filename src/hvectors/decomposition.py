@@ -7,10 +7,11 @@ codimension-3 symmetric vectors, existence of such a decomposition with
 pivot 1 forces unimodality and the concavity inequalities verified below;
 exhaustive absence of one certifies that a symmetric non-SI vector cannot
 be Gorenstein.  Both searches walk the subtrahend's first half in lex
-order: decompose returns the lex-first subtrahend whose residual obeys
-growth, pruning a first half as soon as the residual step it fixes breaks
-growth, and refute runs the same walk unpruned, so its certificate lists
-the full candidate family.
+order and drop a first half as soon as a residual growth step it fixes
+breaks, at either end of the residual.  Decompose returns the lex-first
+subtrahend whose residual obeys growth; refute certifies that none does
+by listing every dropped first half with the degree of its broken step,
+and every full candidate that reached the end of the walk.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .binomials import binom, macaulay_bound
 from .enumeration import differentiable_prefixes, mirror
@@ -32,8 +33,7 @@ from .sequences import (
 )
 
 
-# Candidates the unpruned refutation may list.  No input of a cap-25 box up
-# to socle degree 30 has 1,000; listing 50,000 takes about a second.
+# Entries a refutation certificate may list before the search gives up.
 REFUTE_CANDIDATE_BUDGET = 50_000
 
 
@@ -110,34 +110,46 @@ class RefutationReport:
         return len(self.refuted) + len(self.survivors)
 
 
-def _subtrahends(h: HVector, pivot: int, prune: bool) -> Iterator[tuple[int, ...]]:
-    """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h.
+def _subtrahends(
+    h: HVector, pivot: int, on_dead: Callable[[tuple[int, ...], int], None] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h, minus those of dead first halves.
 
     These are the candidate subtrahends after re-indexing: an SI-sequence
     of small codimension is a Gorenstein h-vector.  The codimension a_1 is
     bounded by the caps alone; for a symmetric codimension-3 h at pivot 1
-    it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family below is
+    it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family is
     exhaustive in that regime.  A first half never decreases, so each
     a_k is capped by the smallest cap from k on; then every prefix the
-    walk builds extends to a candidate, and the walk costs at most its
-    length per candidate.  Candidates come in ascending
-    lexicographic order.  With `prune`, a first half is abandoned as soon
-    as the residual entry it fixes breaks growth from the one before; that
-    entry is then positive, so the full residual fails the growth check too.
+    walk builds extends to a candidate.  Candidates come in ascending
+    lexicographic order.  A first half of length k fixes the residual at
+    degrees pivot..pivot+k-1 and at their mirror images, so it dies, with
+    all of its extensions, as soon as the front step ending at degree
+    pivot+k-1 or the mirror step ending at degree pivot+socle-k+2 breaks
+    growth; `on_dead(half, degree)` hears of each, with that end degree.
+    The steps no half fixes alone (before the pivot, and the middle step
+    of an odd socle) are left to the caller's check of each candidate.
     """
+    values = h.entries
     socle = h.socle_degree - pivot
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]
-    caps = [min(h[pivot + k], h[pivot + socle - k]) for k in range(socle // 2 + 1)]
+    caps = [min(values[pivot + k], values[pivot + socle - k]) for k in range(socle // 2 + 1)]
     caps = list(accumulate(reversed(caps), min))[::-1]
 
-    def residual_step_holds(prefix: tuple[int, ...]) -> bool:
-        d = pivot + len(prefix) - 1  # degree of the residual entry the prefix fixes last
-        return h[d] - prefix[-1] <= macaulay_bound(h[d - 1] - prefix[-2], d - 1)
+    def keep(half: tuple[int, ...]) -> bool:
+        # front step: residual degrees d-1, d lose a_{k-2}, a_{k-1}; the mirror step swaps them
+        d = pivot + len(half) - 1
+        if values[d] - half[-1] <= macaulay_bound(values[d - 1] - half[-2], d - 1):
+            d = pivot + socle - len(half) + 2
+            if values[d] - half[-2] <= macaulay_bound(values[d - 1] - half[-1], d - 1):
+                return True
+        if on_dead is not None:
+            on_dead(half, d)
+        return False
 
-    keep = residual_step_holds if prune else None
     # the walk stops past caps[1]; max(caps) also covers socle 0, where caps has one entry
-    for prefix in differentiable_prefixes(range(1, max(caps) + 1), caps, keep):
-        yield mirror(prefix, socle)
+    for half in differentiable_prefixes(range(1, max(caps) + 1), caps, keep):
+        yield mirror(half, socle)
 
 
 def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int, ...]:
@@ -164,7 +176,7 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
     # candidates arrive in ascending lexicographic order, so first valid wins
-    for subtrahend in _subtrahends(h, pivot, prune=True):
+    for subtrahend in _subtrahends(h, pivot):
         residual = _residual(h, pivot, subtrahend)
         if o_sequence_violation(residual) is None:
             return PivotDecomposition(pivot=pivot, subtrahend=subtrahend, residual=residual)
@@ -172,12 +184,14 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
 
 
 def refute_non_si(h: HVector) -> RefutationReport:
-    """Exhaust all pivot-1 subtrahend candidates against a symmetric non-SI input.
+    """Certify that no pivot-1 subtrahend leaves a growth-legal residual.
 
-    Every candidate must leave a residual violating growth somewhere; a
-    surviving candidate would contradict the codimension-3 classification
-    and is surfaced as a loud implementation-bug signal by the caller.
-    Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET candidates.
+    `refuted` lists, in walk order, each dead first half with the end
+    degree of the step it breaks, standing for every candidate that starts
+    with it, and each full candidate with its residual's first violation.
+    A surviving candidate would contradict the codimension-3
+    classification and is surfaced as a loud implementation-bug signal.
+    Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET entries.
     """
     if h.codimension != 3:
         raise PreconditionViolatedError(
@@ -189,29 +203,30 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []
-    for count, subtrahend in enumerate(_subtrahends(h, 1, prune=False), 1):
-        if count > REFUTE_CANDIDATE_BUDGET:
+
+    def refute(entry: tuple[int, ...], degree: int) -> None:
+        if len(refuted) + len(survivors) >= REFUTE_CANDIDATE_BUDGET:
             raise InfeasibleSearchError(
                 f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
             )
-        residual = _residual(h, 1, subtrahend)
-        violation = _first_residual_violation(residual)
+        refuted.append(RefutedCandidate(entry, degree))
+
+    for subtrahend in _subtrahends(h, 1, refute):
+        violation = _first_residual_violation(_residual(h, 1, subtrahend))
         if violation is None:
             survivors.append(subtrahend)
         else:
-            refuted.append(RefutedCandidate(subtrahend, violation))
+            refute(subtrahend, violation)
     return RefutationReport(h=h, refuted=tuple(refuted), survivors=tuple(survivors))
 
 
 def _first_residual_violation(residual: tuple[int, ...]) -> int | None:
-    """Degree of the first offending residual entry, None when all growth is legal."""
-    for degree, value in enumerate(residual):
-        if value < 0:
-            return degree
+    """End degree of the residual's first illegal growth step, None when all growth is legal.
+
+    The caps keep every residual entry non-negative.
+    """
     step = o_sequence_violation(residual)
-    if step is None:
-        return None
-    return step + 1
+    return None if step is None else step + 1
 
 
 def verify_decomposition_traces(

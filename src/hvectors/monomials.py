@@ -157,7 +157,17 @@ def max_growth_bruteforce(
     in S.  The search is exact: it branches over which degree-(i+1)
     monomials to cover, bounding the union of their divisor sets by n,
     which reaches the same maximum because any chosen union extends to an
-    n-element S.  Raises InfeasibleSearchError past the node budget.
+    n-element S.  Each node passes on only the monomials still affordable
+    under its union, and counts those it already covers for free.
+
+    The first monomial taken is only ever one with non-increasing
+    exponents.  Permuting the variables permutes divisor sets, so it maps
+    an optimal covered set T to another one.  Pick the permutation that
+    makes the largest member t of the image as large as possible: t has
+    non-increasing exponents, for otherwise swapping two out-of-order
+    exponents would make it larger still.  The search takes the members
+    of that image largest first, so its first choice is such a t.
+    Raises InfeasibleSearchError past the node budget.
     """
     if n < 1 or i < 1 or r < 1:
         raise ValueError(f"needs n, i, r >= 1, got n={n}, i={i}, r={r}")
@@ -167,35 +177,39 @@ def max_growth_bruteforce(
             f"only {len(lower)} monomials of degree {i} in {r} variables, needs {n}"
         )
     masks = _divisor_masks(r, i + 1)
-    total = len(masks)
     best = 0
     nodes = 0
 
-    def search(k: int, union: int, count: int) -> None:
+    def search(
+        candidates: list[int], union: int, count: int, takeable: list[bool] | None = None
+    ) -> None:
         nonlocal best, nodes
-        while k < total:
+        best = max(best, count)
+        for k, mask in enumerate(candidates):
             nodes += 1
             if nodes > node_budget:
                 raise InfeasibleSearchError(
                     f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes"
                 )
-            mask = masks[k]
-            merged = union | mask
-            if merged == union:
-                count += 1  # divisors already paid for; always take it
-                k += 1
-                continue
-            if merged.bit_count() > n:
-                k += 1  # cannot afford this monomial's divisors
-                continue
-            if count + (total - k) <= best:
+            if count + len(candidates) - k <= best:
                 return
-            search(k + 1, merged, count + 1)
-            k += 1
-        if count > best:
-            best = count
+            if takeable is not None and not takeable[k]:
+                continue
+            merged = union | mask
+            free = 0
+            affordable = []
+            for other in candidates[k + 1 :]:
+                widened = merged | other
+                if widened == merged:
+                    free += 1
+                elif widened.bit_count() <= n:
+                    affordable.append(other)
+            search(affordable, merged, count + 1 + free)
 
-    search(0, 0, 0)
+    upper = monomials_of_degree(r, i + 1)
+    roots = [k for k, mask in enumerate(masks) if mask.bit_count() <= n]
+    representatives = [all(a >= b for a, b in zip(upper[k], upper[k][1:])) for k in roots]
+    search([masks[k] for k in roots], 0, 0, representatives)
     return best
 
 

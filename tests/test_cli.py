@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bruteforce import naive_refutes
+from hvectors import cli, decomposition
 from hvectors.cli import build_parser, main
 from hvectors.enumeration import SequenceFilter
 
@@ -192,18 +194,42 @@ class TestDecomposeAndRefute:
         code, out, _ = run(capsys, "refute", "1,3,2,3,1", "--json")
         assert code == 0
         payload = json.loads(out)
+        assert payload["version"] == "2"
         assert payload["certificate"]["survivors"] == []
         assert all(
             c["violation_degree"] >= 1 for c in payload["certificate"]["candidates"]
         )
 
-    def test_refute_over_budget_exits_five(self, capsys):
-        # every residual fails only late, so all ~1M candidates would be listed
+    def test_refute_dip_vector_is_answered_fast(self, capsys):
+        # unpruned, this vector has about 1M candidates whose residuals all fail late
+        h = generic_with(40, {19: 190, 21: 190})
         start = time.perf_counter()
-        code, out, err = run(capsys, "refute", generic_with(40, {19: 190, 21: 190}))
-        assert time.perf_counter() - start < 10
+        code, out, _ = run(capsys, "refute", h)
+        assert time.perf_counter() - start < 0.05
+        assert code == 0 and out.endswith(", survivors: 0\n")
+        code, out, _ = run(capsys, "refute", h, "--json")
+        assert code == 0
+        entries = json.loads(out)["certificate"]["candidates"]
+        values = [int(x) for x in h.split(",")]
+        assert entries
+        for entry in entries:
+            assert naive_refutes(values, entry["subtrahend"], entry["violation_degree"]), entry
+
+    def test_refute_over_budget_exits_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(decomposition, "REFUTE_CANDIDATE_BUDGET", 2)
+        code, out, err = run(capsys, "refute", "1,3,6,6,5,6,6,3,1")
         assert (code, out) == (5, "")
-        assert err == "error: refutation needs more than 50000 candidates\n"
+        assert err == "error: refutation needs more than 2 candidates\n"
+
+    def test_memory_error_exits_five(self, capsys, monkeypatch):
+        def exhausted(h):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "lex_segment_realization", exhausted)
+        code, out, err = run(capsys, "realize", "1,3,1")
+        assert (code, out) == (5, "")
+        assert err == "error: MemoryError\n"
+        assert "Traceback" not in err
 
     def test_refute_walks_no_dead_branches(self, capsys):
         # the dip caps the whole first half at 3; a walk that meets the cap
@@ -211,7 +237,7 @@ class TestDecomposeAndRefute:
         start = time.perf_counter()
         code, out, _ = run(capsys, "refute", generic_with(50, {25: 3}))
         assert time.perf_counter() - start < 10
-        assert (code, out) == (0, "candidates: 4, survivors: 0\n")
+        assert (code, out) == (0, "candidates: 3, survivors: 0\n")
 
 
 class TestEnumerate:

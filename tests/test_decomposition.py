@@ -2,10 +2,14 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bruteforce import (
     full_box_vectors,
+    mirrored_symmetric_vectors,
     naive_obeys_growth,
+    naive_refutes,
     naive_residual,
     naive_subtrahends,
 )
@@ -24,6 +28,25 @@ from hvectors import (
 )
 from hvectors.cli import main
 from hvectors.decomposition import _residual, _subtrahends
+from hvectors.enumeration import mirror
+
+
+def assert_covers_naive_family(h, report):
+    """The certificate's entries split the naive pivot-1 family, each entry killing its part.
+
+    A full-length entry stands for itself; a shorter one for every naive
+    candidate that starts with it, of which there is at least one.
+    """
+    assert report.survivors == (), h
+    naive = naive_subtrahends(h, 1, 3)
+    covered = []
+    for candidate in report.refuted:
+        a = candidate.subtrahend
+        assert naive_refutes(h, a, candidate.violation_degree), (h, candidate)
+        part = [c for c in naive if c[: len(a)] == a]
+        assert part and (len(a) < len(h) - 1 or part == [a]), (h, a)
+        covered += part
+    assert sorted(covered) == naive, h
 
 
 class TestFind:
@@ -38,7 +61,7 @@ class TestFind:
         h = HVector((1, 3, 4, 3, 1))
         valid = [
             c
-            for c in _subtrahends(h, 1, prune=False)
+            for c in _subtrahends(h, 1)
             if is_o_sequence(_residual(h, 1, c))
         ]
         assert valid == [(1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, 1)]
@@ -101,10 +124,7 @@ class TestFind:
                         found = find_pivot_decomposition(HVector(h), pivot)
                         assert (found.subtrahend if found else None) == expected, (h, pivot)
                     if r == 3 and is_symmetric(h) and not is_si_sequence(h):
-                        report = refute_non_si(HVector(h))
-                        assert report.survivors == (), h
-                        refuted = [c.subtrahend for c in report.refuted]
-                        assert refuted == naive_subtrahends(h, 1, 3), h
+                        assert_covers_naive_family(h, refute_non_si(HVector(h)))
 
     def test_generic_vector_at_socle_degree_fifty(self, capsys):
         e = 50
@@ -190,7 +210,11 @@ class TestRefute:
     def test_plateau_vector_is_cleanly_refuted(self):
         report = refute_non_si(HVector((1, 3, 6, 6, 5, 6, 6, 3, 1)))
         assert report.survivors == ()
-        assert report.candidate_count == len(report.refuted) == 8
+        assert report.candidate_count == len(report.refuted) == 6
+        dead = [(c.subtrahend, c.violation_degree) for c in report.refuted if len(c.subtrahend) < 8]
+        # residual degrees 1, 2 read 2, 5 after (1, 1) and 2, 4 after (1, 2);
+        # degrees 5, 6 read 1, 2 after (1, 3, 4, 5) and its mirror
+        assert dead == [((1, 1), 2), ((1, 2), 2), ((1, 3, 4, 5), 6)]
         for candidate in report.refuted:
             assert candidate.violation_degree >= 1
 
@@ -212,12 +236,38 @@ class TestRefute:
             refute_non_si(HVector((1, 3, 4, 4)))
 
     def test_candidates_respect_the_mirror_bound(self):
-        # every candidate keeps a_2 <= 3 and entries below h pointwise
+        # every entry keeps a_2 <= 3 and entries below h pointwise, once mirrored
         h = HVector((1, 3, 6, 6, 5, 6, 6, 3, 1))
         report = refute_non_si(h)
         for candidate in report.refuted:
             a = candidate.subtrahend
             assert a[0] == 1
             assert a[1] <= 3
+            if len(a) < h.socle_degree:
+                a = mirror(a, h.socle_degree - 1)
             assert all(a[k] <= h[1 + k] for k in range(len(a)))
             assert a == tuple(reversed(a))
+
+    def test_certificate_covers_the_naive_family_on_the_box(self):
+        # every symmetric non-SI vector with r = 3, e <= 8, entries <= 25
+        checked = 0
+        for e in range(2, 9):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                if not is_si_sequence(h):
+                    assert_covers_naive_family(h, refute_non_si(HVector(h)))
+                    checked += 1
+        assert checked == 16_869
+
+    @given(st.integers(4, 12).flatmap(
+        lambda e: st.tuples(st.just(e), st.lists(st.integers(1, 12), min_size=e // 2 - 1,
+                                                 max_size=e // 2 - 1))))
+    def test_every_entry_breaks_a_step_it_fixes(self, shape):
+        # symmetric (1, 3, ..., 3, 1) with 4 <= e <= 12 and entries <= 12; e <= 3 is always SI
+        e, middle = shape
+        half = (1, 3, *middle)
+        h = half + (half[::-1] if e % 2 else half[-2::-1])
+        assume(not is_si_sequence(h))
+        report = refute_non_si(HVector(h))
+        assert report.survivors == ()
+        for candidate in report.refuted:
+            assert naive_refutes(h, candidate.subtrahend, candidate.violation_degree), (h, candidate)
