@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .binomials import macaulay_bound
 from .sequences import HVector
@@ -36,15 +37,22 @@ class InfeasibleSearchError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in the given variables, largest first."""
-    if num_variables == 0:
-        return ((),) if degree == 0 else ()
-    if num_variables == 1:
-        return ((degree,),)
+    """All degree-d monomials in the given variables, largest first.
+
+    Each monomial comes from a non-decreasing word of d variable indices,
+    and combinations_with_replacement yields those words in ascending lex
+    order.  Where two words first differ, the smaller one takes an earlier
+    variable, and neither takes any earlier variable after that point; so
+    its monomial has the same exponents before that variable and a higher
+    one on it, which makes it the larger monomial.  The words in the order
+    given therefore list the monomials largest first.
+    """
     result: list[Monomial] = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(num_variables - 1, degree - first):
-            result.append((first,) + rest)
+    for word in combinations_with_replacement(range(num_variables), degree):
+        exponents = [0] * num_variables
+        for variable in word:
+            exponents[variable] += 1
+        result.append(tuple(exponents))
     return tuple(result)
 
 
@@ -137,13 +145,33 @@ class SocleVector:
 
 
 def socle_vector(table: SurvivorTable) -> SocleVector:
-    """Count, per degree, the survivors that divide no survivor of the next degree."""
+    """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
+
+    The top degree has nothing above it, so all of its survivors count.
+    Below it, each survivor probes the next level upward, last variable
+    first: only when x_r * m is missing does it try the other variables,
+    and it counts only after all r probes miss.  That makes the count
+    exact on any table, order ideal or not.  On a lex realization the
+    first probe already decides every survivor outside the socle: x_r * m
+    is the smallest degree-(d+1) multiple of m, and a final lex segment
+    holding any multiple of m also holds every smaller monomial, x_r * m
+    among them.
+    """
     levels = table.per_degree
+    if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
+        return SocleVector(tuple(len(level) for level in levels))
+    last = table.num_variables - 1
     entries = []
-    for degree, level in enumerate(levels):
-        above = levels[degree + 1] if degree + 1 < len(levels) else ()
-        covered = {divisor for monomial in above for divisor in divisors(monomial)}
-        entries.append(sum(1 for monomial in level if monomial not in covered))
+    for level, above in zip(levels, levels[1:]):
+        upper = set(above)
+        count = 0
+        for m in level:
+            if m[:last] + (m[last] + 1,) in upper:
+                continue
+            if not any(m[:v] + (m[v] + 1,) + m[v + 1 :] in upper for v in range(last)):
+                count += 1
+        entries.append(count)
+    entries.append(len(levels[-1]))
     return SocleVector(tuple(entries))
 
 

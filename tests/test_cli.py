@@ -152,6 +152,17 @@ class TestRealizeAndSocle:
         assert code == 1
         assert "NotAnOSequence(2)" in err
 
+    def test_realize_in_many_variables(self, capsys):
+        code, out, _ = run(capsys, "realize", "1,1100")
+        assert code == 0
+        degree_one = out.splitlines()[1]
+        assert degree_one.startswith("degree 1: ")
+        assert len(degree_one.split(", ")) == 1100
+
+    def test_socle_in_many_variables(self, capsys):
+        code, out, _ = run(capsys, "socle", "1,1100")
+        assert (code, out) == (0, "0,1100\n")
+
 
 class TestDecomposeAndRefute:
     def test_unsupported_codimension_exits_two(self, capsys):
@@ -295,6 +306,22 @@ def test_malformed_input_exits_two_with_one_error_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", ",".join(["1"] * 2500)],
+        ["enumerate", "--degree", "1200", "--codim", "1", "--cap", "1", "--filter", "o-sequence"],
+    ],
+    ids=["decompose-2500-ones", "enumerate-degree-1200"],
+)
+def test_recursion_past_the_depth_limit_exits_five(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_bad_subcommand_is_a_usage_error(capsys):

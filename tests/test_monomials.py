@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import naive_bound, naive_lex_realization, naive_max_growth, naive_socle
+from bruteforce import (
+    exponent_vectors,
+    naive_bound,
+    naive_lex_realization,
+    naive_max_growth,
+    naive_socle,
+)
 from hvectors import (
     HVector,
     InfeasibleSearchError,
@@ -37,6 +43,11 @@ class TestMonomialBasics:
     def test_order_is_descending(self):
         level = monomials_of_degree(3, 2)
         assert level == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+    def test_order_matches_the_naive_enumeration(self):
+        for r in range(7):
+            for d in range(7):
+                assert list(monomials_of_degree(r, d)) == exponent_vectors(r, d)[::-1], (r, d)
 
     def test_divisors(self):
         assert divisors((2, 0, 1)) == ((1, 0, 1), (2, 0, 0))
@@ -126,6 +137,28 @@ class TestSocle:
             vector = socle_vector(lex_segment_realization(h))
             assert vector.entries[-1] == h[h.socle_degree]
             assert all(x >= 0 for x in vector.entries)
+
+    def test_missing_last_variable_multiple_falls_back_to_the_others(self):
+        # x2 * x2 is not a survivor, but x1 * x2 is, so x2 is not in the socle
+        table = SurvivorTable(
+            num_variables=2, per_degree=(((0, 0),), ((0, 1),), ((1, 1),))
+        )
+        assert socle_vector(table).entries == naive_socle(table) == (0, 0, 1)
+
+    @given(st.data())
+    def test_matches_the_naive_oracle_on_arbitrary_tables(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        degrees = data.draw(st.integers(1, 4), label="degrees")
+        levels = tuple(
+            tuple(data.draw(st.lists(st.sampled_from(monomials_of_degree(r, d)), unique=True)))
+            for d in range(degrees)
+        )
+        table = SurvivorTable(num_variables=r, per_degree=levels)
+        assert socle_vector(table).entries == naive_socle(table)
+
+    def test_tables_without_variables_or_levels(self):
+        assert socle_vector(SurvivorTable(num_variables=0, per_degree=())).entries == ()
+        assert socle_vector(SurvivorTable(num_variables=0, per_degree=(((),),))).entries == (1,)
 
     def test_monomial_complete_intersections_are_gorenstein(self):
         for count in (2, 3, 4):
