@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 
 def binom(n: int, k: int) -> int:
@@ -12,8 +12,7 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
+class BinomialExpansion(NamedTuple):
     """Decomposition n = C(t_i, i) + C(t_{i-1}, i-1) + ... + C(t_j, j).
 
     Tops strictly decrease, bottoms run down by exactly one from `index`

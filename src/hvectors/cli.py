@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from typing import Sequence
@@ -109,6 +108,8 @@ def _predicate_violations(h: HVector) -> dict[str, int | None]:
 
 
 def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION) -> str:
+    import json  # here, not at the top, so that only --json pays for loading it
+
     verdicts = {
         name: {"holds": violation is None, "first_violation": violation}
         for name, violation in _predicate_violations(h).items()
@@ -254,8 +255,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         counts = count_by_degree(args.codim, args.degree, args.cap, filter_)
         for degree in sorted(counts):
-            print(json.dumps({"degree": degree, "count": counts[degree]},
-                             separators=(",", ":")))
+            print(f'{{"degree":{degree},"count":{counts[degree]}}}')
         return EXIT_OK
     spec = EnumerationSpec(
         socle_degree=args.degree,
@@ -264,7 +264,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         filter=filter_,
     )
     for h in enumerate_hvectors(spec):
-        print(json.dumps({"h": list(h.entries)}, separators=(",", ":")))
+        print(f'{{"h":[{_render_entries(h.entries)}]}}')
     return EXIT_OK
 
 

@@ -16,10 +16,9 @@ and every full candidate that reached the end of the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .binomials import binom, macaulay_bound
 from .enumeration import differentiable_prefixes, mirror
@@ -56,8 +55,7 @@ class TraceViolationError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class PivotDecomposition:
+class PivotDecomposition(NamedTuple):
     """Pivot j, subtrahend (a_j = 1, ..., a_e), and the leftover vector.
 
     The residual keeps full length e + 1; trailing zeros are only stripped
@@ -75,8 +73,7 @@ class TraceCase(Enum):
     RESIDUAL_STEP_SMALL = "residual_step_small"
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     label: str
     lhs: int
     rhs: int
@@ -86,21 +83,18 @@ class InequalityCheck:
         return self.lhs <= self.rhs
 
 
-@dataclass(frozen=True)
-class DegreeTrace:
+class DegreeTrace(NamedTuple):
     degree: int
     case: TraceCase
     inequalities: tuple[InequalityCheck, ...]
 
 
-@dataclass(frozen=True)
-class RefutedCandidate:
+class RefutedCandidate(NamedTuple):
     subtrahend: tuple[int, ...]
     violation_degree: int
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     h: HVector
     refuted: tuple[RefutedCandidate, ...]
     survivors: tuple[tuple[int, ...], ...]

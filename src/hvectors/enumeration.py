@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
 from .sequences import HVector, is_si_sequence
@@ -18,16 +17,21 @@ class SequenceFilter(Enum):
     SYMMETRIC_NOT_SI = "symmetric-not-si"
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """One finite enumeration box: exact socle degree, codimension, entry cap."""
-
+# EnumerationSpec's fields; its checks need a __new__, which a NamedTuple body may not define
+class _Box(NamedTuple):
     socle_degree: int
     codimension: int
     entry_cap: int = 25
     filter: SequenceFilter = SequenceFilter.SI
 
-    def __post_init__(self) -> None:
+
+class EnumerationSpec(_Box):
+    """One finite enumeration box: exact socle degree, codimension, entry cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EnumerationSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.socle_degree < 0:
             raise ValueError(f"socle degree must be >= 0, got {self.socle_degree}")
         if self.codimension < 1:
@@ -36,6 +40,7 @@ class EnumerationSpec:
             raise ValueError(
                 f"entry cap {self.entry_cap} is below codimension {self.codimension}"
             )
+        return self
 
 
 def differentiable_prefixes(

@@ -8,9 +8,9 @@ first so that output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .binomials import macaulay_bound
 from .sequences import HVector
@@ -89,8 +89,7 @@ def _divisor_masks(num_variables: int, degree: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class SurvivorTable:
+class SurvivorTable(NamedTuple):
     """Per-degree standard monomials of a monomial quotient.
 
     The complement is closed under multiplication by variables, so every
@@ -130,8 +129,7 @@ def hilbert_function(table: SurvivorTable) -> HVector:
     return HVector(tuple(len(level) for level in table.per_degree))
 
 
-@dataclass(frozen=True)
-class SocleVector:
+class SocleVector(NamedTuple):
     """Per-degree count of survivors annihilated by every variable."""
 
     entries: tuple[int, ...]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
 
@@ -17,17 +16,17 @@ def strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
     return entries[:end]
 
 
-@dataclass(frozen=True)
 class HVector:
     """Graded dimension vector (h_0, ..., h_e) with h_0 = 1 and h_e > 0.
 
     Every entry must be an int (bool is not accepted).  Trailing zeros are
     stripped on construction so the socle degree e is well defined;
     internal zeros are rejected because no later degree can be positive
-    once one vanishes.
+    once one vanishes.  Immutable, and equal only to another HVector with
+    the same entries, never to a plain tuple.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[int]) -> None:
         entries = tuple(entries)
@@ -45,6 +44,26 @@ class HVector:
             if value == 0:
                 raise ValueError(f"internal zero at degree {degree}")
         object.__setattr__(self, "entries", normalized)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"HVector is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, since __setattr__ refuses
+        return HVector, (self.entries,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HVector:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"HVector(entries={self.entries!r})"
 
     @property
     def socle_degree(self) -> int:
@@ -161,8 +180,7 @@ class ReasonKind(Enum):
     OUT_OF_SCOPE_CODIMENSION = "out_of_scope_codimension"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     kind: ReasonKind
     degree: int | None = None
 
@@ -172,8 +190,7 @@ class Reason:
         return f"{self.kind.value}(degree {self.degree})"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdict: Verdict
     codimension: int
     reasons: tuple[Reason, ...]

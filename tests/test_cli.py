@@ -6,7 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import naive_refutes
@@ -383,3 +383,25 @@ def test_fuzzed_argv_exits_with_a_documented_code_and_repeats(argv):
     assert code in (0, 1, 2, 3, 5), (argv, first)  # 4 marks a bug, never a result
     assert "Traceback" not in err
     assert outcome(argv) == first
+
+
+# Codimension 1 and cap 1 leave at most one vector per degree under every
+# filter, so large degrees stay cheap; a cap above the codimension would let
+# the symmetric filters walk cap^(D/2) prefixes.
+@settings(max_examples=4)
+@given(st.integers(900, 1300), st.sampled_from([f.value for f in SequenceFilter]),
+       st.sampled_from([(), ("--count-only",)]))
+def test_fuzzed_large_enumerate_degrees_answer_or_exit_five(degree, filter_, count):
+    argv = ("enumerate", "--degree", str(degree), "--codim", "1", "--cap", "1",
+            "--filter", filter_, *count)
+    code, out, err = outcome(argv)
+    assert code in (0, 5), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 5:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+    elif count:
+        assert len(out.splitlines()) == degree + 1
+    else:
+        assert out in ("", '{"h":[' + ",".join(["1"] * (degree + 1)) + "]}\n")
