@@ -56,26 +56,29 @@ def differentiable_prefixes(
     `keep` rejects is dropped together with all of its extensions.  Yields in ascending
     entry order, which is lexicographic order of the output.
     """
-    length = len(caps)
-
-    def extend(values: tuple[int, ...], delta: int) -> Iterator[tuple[int, ...]]:
-        if keep is not None and not keep(values):
-            return
-        if len(values) == length:
-            yield values
-            return
-        d = len(values)
-        limit = min(macaulay_bound(delta, d - 1), caps[d] - values[-1])
-        for step in range(limit + 1):
-            yield from extend(values + (values[-1] + step,), step)
-
-    if length == 1:
+    if len(caps) == 1:
         yield (1,)
         return
     for codimension in codimensions:
         if codimension > caps[1]:
             return
-        yield from extend((1, codimension), codimension - 1)
+        yield from _extend((1, codimension), codimension - 1, caps, keep)
+
+
+# Module functions, not closures: a closure that calls itself holds its own cell, and
+# that cycle would keep everything the walk references alive until a garbage collection.
+def _extend(
+    values: tuple[int, ...], delta: int, caps: Sequence[int], keep: Callable[..., bool] | None
+) -> Iterator[tuple[int, ...]]:
+    if keep is not None and not keep(values):
+        return
+    d = len(values)
+    if d == len(caps):
+        yield values
+        return
+    limit = min(macaulay_bound(delta, d - 1), caps[d] - values[-1])
+    for step in range(limit + 1):
+        yield from _extend(values + (values[-1] + step,), step, caps, keep)
 
 
 def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -108,21 +111,20 @@ def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int,
 
 
 def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
-    e = spec.socle_degree
-    if e == 0:
+    if spec.socle_degree == 0:
         return
-
-    def extend(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        d = len(values) - 1
-        if d == e:
-            yield values
-            return
-        limit = min(macaulay_bound(values[-1], d), spec.entry_cap)
-        for value in range(1, limit + 1):
-            yield from extend(values + (value,))
-
-    for values in extend((1, spec.codimension)):
+    for values in _o_sequences((1, spec.codimension), spec.socle_degree, spec.entry_cap):
         yield HVector(values)
+
+
+def _o_sequences(values: tuple[int, ...], socle_degree: int, cap: int) -> Iterator[tuple[int, ...]]:
+    d = len(values) - 1
+    if d == socle_degree:
+        yield values
+        return
+    limit = min(macaulay_bound(values[-1], d), cap)
+    for value in range(1, limit + 1):
+        yield from _o_sequences(values + (value,), socle_degree, cap)
 
 
 def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:

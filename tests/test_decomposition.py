@@ -1,3 +1,4 @@
+import gc
 import json
 from math import comb
 
@@ -14,11 +15,14 @@ from bruteforce import (
     naive_subtrahends,
 )
 from hvectors import (
+    EnumerationSpec,
     HVector,
     PivotDecomposition,
     PreconditionViolatedError,
+    SequenceFilter,
     TraceCase,
     UnsupportedCodimensionError,
+    enumerate_hvectors,
     find_pivot_decomposition,
     is_o_sequence,
     is_si_sequence,
@@ -234,6 +238,18 @@ class TestRefute:
     def test_asymmetric_input_is_a_precondition_violation(self):
         with pytest.raises(PreconditionViolatedError):
             refute_non_si(HVector((1, 3, 4, 4)))
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        # reference counting alone frees what a search built, so the collector has nothing to do
+        gc.collect()
+        gc.disable()
+        try:
+            refute_non_si(HVector((1, 3, 6, 6, 5, 6, 6, 3, 1)))
+            find_pivot_decomposition(HVector((1, 3, 6, 6, 3, 1)))  # leaves its walk unfinished
+            list(enumerate_hvectors(EnumerationSpec(4, 3, 6, SequenceFilter.ALL_O_SEQUENCES)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_candidates_respect_the_mirror_bound(self):
         # every entry keeps a_2 <= 3 and entries below h pointwise, once mirrored
