@@ -8,8 +8,11 @@ first so that output is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
+from operator import gt
 from typing import NamedTuple
 
 from .binomials import macaulay_bound
@@ -94,7 +97,10 @@ class SurvivorTable(NamedTuple):
 
     The complement is closed under multiplication by variables, so every
     one-step divisor of a survivor survives too; a monomial whose divisors
-    all survive may still be cut.
+    all survive may still be cut.  Functions that read a table rely only on
+    per_degree[d] holding degree-d exponent tuples of length num_variables;
+    they do not assume a level is ordered, free of repeats, or part of an
+    order ideal.
     """
 
     num_variables: int
@@ -142,25 +148,69 @@ class SocleVector(NamedTuple):
         return ",".join(str(x) for x in self.entries)
 
 
+def _lex_rank(monomial: Monomial) -> int:
+    """How many monomials of the same degree in the same variables are smaller.
+
+    A smaller monomial first falls short at some variable i.  With R the
+    degree left for variables i onward and k = r - 1 - i variables after i,
+    those falling short at i number C(R + k, k) - C(R - m_i + k, k): the
+    monomials of degree in (R - m_i, R] in the k later variables.  The last
+    exponent follows from the others, so no monomial falls short there.
+    """
+    rank = 0
+    remaining = sum(monomial)
+    later = len(monomial) - 1
+    for exponent in monomial[:-1]:
+        rank += comb(remaining + later, later) - comb(remaining - exponent + later, later)
+        remaining -= exponent
+        later -= 1
+    return rank
+
+
+def _is_final_segment(level: tuple[Monomial, ...]) -> bool:
+    """Whether the level lists the final lex segment of its size, largest first.
+
+    A strictly descending level of n monomials whose first has n - 1
+    smaller ones holds n distinct monomials of rank at most n - 1: exactly
+    the n smallest, ending at x_r^d.
+    """
+    return (
+        bool(level)
+        and _lex_rank(level[0]) == len(level) - 1
+        and all(map(gt, level, level[1:]))
+    )
+
+
 def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
     The top degree has nothing above it, so all of its survivors count.
-    Below it, each survivor probes the next level upward, last variable
-    first: only when x_r * m is missing does it try the other variables,
-    and it counts only after all r probes miss.  That makes the count
-    exact on any table, order ideal or not.  On a lex realization the
-    first probe already decides every survivor outside the socle: x_r * m
-    is the smallest degree-(d+1) multiple of m, and a final lex segment
-    holding any multiple of m also holds every smaller monomial, x_r * m
-    among them.
+    Where a level and the one above it are both final lex segments, as in
+    every lex realization, the count comes by bisection.  x_r * m is the
+    smallest degree-(d+1) multiple of m, and a final segment holding any
+    multiple of m also holds every smaller monomial, so m has a multiple
+    above exactly when x_r * m is at most the top monomial above.  Since
+    m -> x_r * m keeps order, those m form a suffix of the level, and the
+    socle count is the length of the prefix before it.
+
+    Every other pair of levels goes through the probe loop: each survivor
+    probes a set of the next level upward, last variable first, and counts
+    only after all r probes miss.  That makes the count exact on any table,
+    order ideal or not.
     """
     levels = table.per_degree
     if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
         return SocleVector(tuple(len(level) for level in levels))
     last = table.num_variables - 1
+    final = [_is_final_segment(level) for level in levels]
     entries = []
-    for level, above in zip(levels, levels[1:]):
+    for degree, (level, above) in enumerate(zip(levels, levels[1:])):
+        if final[degree] and final[degree + 1]:
+            top = above[0]
+            entries.append(
+                bisect_left(level, True, key=lambda m: m[:last] + (m[last] + 1,) <= top)
+            )
+            continue
         upper = set(above)
         count = 0
         for m in level:
@@ -203,40 +253,55 @@ def max_growth_bruteforce(
             f"only {len(lower)} monomials of degree {i} in {r} variables, needs {n}"
         )
     masks = _divisor_masks(r, i + 1)
-    best = 0
-    nodes = 0
-
-    def search(
-        candidates: list[int], union: int, count: int, takeable: list[bool] | None = None
-    ) -> None:
-        nonlocal best, nodes
-        best = max(best, count)
-        for k, mask in enumerate(candidates):
-            nodes += 1
-            if nodes > node_budget:
-                raise InfeasibleSearchError(
-                    f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes"
-                )
-            if count + len(candidates) - k <= best:
-                return
-            if takeable is not None and not takeable[k]:
-                continue
-            merged = union | mask
-            free = 0
-            affordable = []
-            for other in candidates[k + 1 :]:
-                widened = merged | other
-                if widened == merged:
-                    free += 1
-                elif widened.bit_count() <= n:
-                    affordable.append(other)
-            search(affordable, merged, count + 1 + free)
-
     upper = monomials_of_degree(r, i + 1)
     roots = [k for k, mask in enumerate(masks) if mask.bit_count() <= n]
     representatives = [all(a >= b for a, b in zip(upper[k], upper[k][1:])) for k in roots]
-    search([masks[k] for k in roots], 0, 0, representatives)
+    best, nodes = _most_covered(
+        [masks[k] for k in roots], 0, 0, 0, 0, n, node_budget, representatives
+    )
+    if nodes > node_budget:
+        raise InfeasibleSearchError(f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes")
     return best
+
+
+# A module function, not a closure: a closure that calls itself holds its own cell, and
+# every search would leave that cycle behind for the garbage collector.
+def _most_covered(
+    candidates: list[int],
+    union: int,
+    count: int,
+    best: int,
+    nodes: int,
+    n: int,
+    node_budget: int,
+    takeable: list[bool] | None = None,
+) -> tuple[int, int]:
+    """(best, nodes) once the branches below a node covering count monomials are searched.
+
+    The caller has already counted the node itself into best.  Returns early
+    once nodes pass the budget.
+    """
+    for k, mask in enumerate(candidates):
+        nodes += 1
+        if nodes > node_budget or count + len(candidates) - k <= best:
+            return best, nodes
+        if takeable is not None and not takeable[k]:
+            continue
+        merged = union | mask
+        free = 0
+        affordable = []
+        for other in candidates[k + 1 :]:
+            widened = merged | other
+            if widened == merged:
+                free += 1
+            elif widened.bit_count() <= n:
+                affordable.append(other)
+        covered = count + 1 + free
+        if covered > best:
+            best = covered
+        if affordable:
+            best, nodes = _most_covered(affordable, merged, covered, best, nodes, n, node_budget)
+    return best, nodes
 
 
 def _check_exponents(exponents: tuple[int, ...]) -> None:

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations_with_replacement
 
@@ -32,6 +33,10 @@ from hvectors import (
     render_monomial,
     socle_vector,
 )
+from hvectors.monomials import _lex_rank
+
+# ways to spoil a final lex segment, each leaving a table the socle count must still get right
+NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
 
 
 class TestMonomialBasics:
@@ -48,6 +53,12 @@ class TestMonomialBasics:
         for r in range(7):
             for d in range(7):
                 assert list(monomials_of_degree(r, d)) == exponent_vectors(r, d)[::-1], (r, d)
+
+    def test_lex_rank_is_the_position_in_the_naive_ascending_order(self):
+        for r in range(7):
+            for d in range(7):
+                for position, m in enumerate(exponent_vectors(r, d)):
+                    assert _lex_rank(m) == position, m
 
     def test_divisors(self):
         assert divisors((2, 0, 1)) == ((1, 0, 1), (2, 0, 0))
@@ -156,6 +167,60 @@ class TestSocle:
         table = SurvivorTable(num_variables=r, per_degree=levels)
         assert socle_vector(table).entries == naive_socle(table)
 
+    @given(st.data())
+    def test_matches_the_naive_oracle_on_near_lex_tables(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        degrees = data.draw(st.integers(1, 5), label="degrees")
+        levels = []
+        for d in range(degrees):
+            every = monomials_of_degree(r, d)
+            size = data.draw(st.integers(1, len(every)), label=f"size {d}")
+            level = list(every[-size:])
+            larger = every[:-size]  # every monomial above the segment
+            mutation = data.draw(st.sampled_from(NEAR_LEX_MUTATIONS), label=f"mutation {d}")
+            if mutation == "drop" and size >= 3:
+                del level[data.draw(st.integers(1, size - 2))]
+            elif mutation == "duplicate":
+                k = data.draw(st.integers(0, size - 1))
+                level.insert(k, level[k])
+            elif mutation == "swap" and size >= 2:
+                k = data.draw(st.integers(0, size - 2))
+                level[k], level[k + 1] = level[k + 1], level[k]
+            elif mutation == "larger first" and larger:
+                level[0] = data.draw(st.sampled_from(larger))
+            elif mutation == "hole" and size >= 3 and larger:
+                # same length, first and last monomial; one inner slot leaves the segment
+                level[data.draw(st.integers(1, size - 2))] = data.draw(st.sampled_from(larger))
+            elif mutation == "empty":
+                level = []
+            levels.append(tuple(level))
+        table = SurvivorTable(num_variables=r, per_degree=tuple(levels))
+        assert socle_vector(table).entries == naive_socle(table)
+
+    def test_a_level_out_of_order_is_not_taken_for_a_final_segment(self):
+        # the degree-2 level has the size, first and last monomial of the final segment
+        # (0,2,0), (0,1,1), (0,0,2), but (1,1,0) stands where (0,1,1) belongs
+        table = SurvivorTable(
+            num_variables=3,
+            per_degree=(
+                ((0, 0, 0),),
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 2, 0), (1, 1, 0), (0, 0, 2)),
+                ((0, 0, 3),),
+            ),
+        )
+        assert socle_vector(table).entries == naive_socle(table) == (0, 0, 2, 1)
+
+    def test_lex_realizations_match_the_naive_oracle_at_larger_codimension(self):
+        rng = random.Random(1994)
+        for r in range(7, 13):
+            for _ in range(12):
+                entries = [1, r]
+                for degree in range(2, rng.randint(2, 4) + 1):
+                    entries.append(rng.randint(1, naive_bound(entries[-1], degree - 1)))
+                table = lex_segment_realization(HVector(entries))
+                assert socle_vector(table).entries == naive_socle(table), entries
+
     def test_tables_without_variables_or_levels(self):
         assert socle_vector(SurvivorTable(num_variables=0, per_degree=())).entries == ()
         assert socle_vector(SurvivorTable(num_variables=0, per_degree=(((),),))).entries == (1,)
@@ -234,6 +299,16 @@ class TestMaxGrowth:
                     previous = value
                     if r >= n:
                         assert value == macaulay_bound(n, i)
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # reference counting alone frees what the search built, so the collector has nothing to do
+        gc.collect()
+        gc.disable()
+        try:
+            max_growth_bruteforce(4, 2, 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_budget_is_enforced(self):
         with pytest.raises(InfeasibleSearchError):
