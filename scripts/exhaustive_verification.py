@@ -5,11 +5,15 @@ Three sweeps, any failure exits 4:
   1. growth bound vs. brute-force maximal growth on the small grid;
   2. every SI vector decomposes at pivot 1 with all growth traces holding;
   3. every symmetric non-SI vector is exhaustively refuted (no survivors).
+
+With --json, each sweep prints one JSON object on its own line instead of
+its text line: sweep, max_degree, cap, checked, failures and seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -76,6 +80,8 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=25)
     parser.add_argument("--grid-n", type=int, default=6)
     parser.add_argument("--grid-i", type=int, default=3)
+    parser.add_argument("--json", action="store_true",
+                        help="print one JSON record per sweep instead of the text lines")
     args = parser.parse_args()
 
     total_failures = 0
@@ -87,8 +93,13 @@ def main() -> int:
         start = time.monotonic()
         checked, failures = sweep()
         elapsed = time.monotonic() - start
-        status = "ok" if failures == 0 else f"{failures} FAILURES"
-        print(f"{name:>15}: {checked:>6} checked, {status} [{elapsed:.1f}s]")
+        if args.json:
+            print(json.dumps({"sweep": name, "max_degree": args.max_degree, "cap": args.cap,
+                              "checked": checked, "failures": failures,
+                              "seconds": round(elapsed, 3)}))
+        else:
+            status = "ok" if failures == 0 else f"{failures} FAILURES"
+            print(f"{name:>15}: {checked:>6} checked, {status} [{elapsed:.1f}s]")
         total_failures += failures
     return 4 if total_failures else 0
 

@@ -12,7 +12,6 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import gt
 from typing import NamedTuple
 
 from .binomials import macaulay_bound
@@ -111,6 +110,12 @@ class SurvivorTable(NamedTuple):
         return len(self.per_degree) - 1
 
 
+class _FinalSegment(tuple):
+    """A level built as the final lex segment of its size; it acts as the plain tuple."""
+
+    __slots__ = ()
+
+
 def lex_segment_realization(h: HVector) -> SurvivorTable:
     """Realize h by keeping, in each degree, the h_d smallest monomials.
 
@@ -119,15 +124,16 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     of size macaulay_bound(n, d-1) in degree d, so each level is the last
     h_d monomials of its degree.  Succeeds exactly when h satisfies
     Macaulay growth at every step; the reported failure degree is the
-    first degree whose entry is too large.
+    first degree whose entry is too large.  Each level is a _FinalSegment,
+    which lets socle_vector count it without checking its order.
     """
     num_variables = h.codimension
-    levels: list[tuple[Monomial, ...]] = [monomials_of_degree(num_variables, 0)]
+    levels: list[tuple[Monomial, ...]] = [_FinalSegment(monomials_of_degree(num_variables, 0))]
     for degree in range(1, h.socle_degree + 1):
         available = macaulay_bound(h[degree - 1], degree - 1) if degree > 1 else num_variables
         if h[degree] > available:
             raise NotAnOSequenceError(degree, available, h[degree])
-        levels.append(monomials_of_degree(num_variables, degree)[-h[degree] :])
+        levels.append(_FinalSegment(monomials_of_degree(num_variables, degree)[-h[degree] :]))
     return SurvivorTable(num_variables=num_variables, per_degree=tuple(levels))
 
 
@@ -167,42 +173,33 @@ def _lex_rank(monomial: Monomial) -> int:
     return rank
 
 
-def _is_final_segment(level: tuple[Monomial, ...]) -> bool:
-    """Whether the level lists the final lex segment of its size, largest first.
-
-    A strictly descending level of n monomials whose first has n - 1
-    smaller ones holds n distinct monomials of rank at most n - 1: exactly
-    the n smallest, ending at x_r^d.
-    """
-    return (
-        bool(level)
-        and _lex_rank(level[0]) == len(level) - 1
-        and all(map(gt, level, level[1:]))
-    )
-
-
 def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
     The top degree has nothing above it, so all of its survivors count.
-    Where a level and the one above it are both final lex segments, as in
-    every lex realization, the count comes by bisection.  x_r * m is the
-    smallest degree-(d+1) multiple of m, and a final segment holding any
-    multiple of m also holds every smaller monomial, so m has a multiple
-    above exactly when x_r * m is at most the top monomial above.  Since
-    m -> x_r * m keeps order, those m form a suffix of the level, and the
-    socle count is the length of the prefix before it.
+    A lex realization marks each of its levels as a _FinalSegment.  Where a
+    level and the one above it are both marked, and the first monomial of
+    each has num_variables slots and the degree of the level's position, the
+    count comes by bisection.  That O(r) check keeps the count exact when a
+    caller moves a marked level to another degree or into a table with
+    another number of variables.  x_r * m is the smallest degree-(d+1)
+    multiple of m, and a final segment holding any multiple of m also holds
+    every smaller monomial, so m has a multiple above exactly when x_r * m
+    is at most the top monomial above.  Since m -> x_r * m keeps order,
+    those m form a suffix of the level, and the socle count is the length
+    of the prefix before it.
 
     Every other pair of levels goes through the probe loop: each survivor
     probes a set of the next level upward, last variable first, and counts
     only after all r probes miss.  That makes the count exact on any table,
-    order ideal or not.
+    order ideal or not, even one whose monomials have slots past the r-th.
     """
     levels = table.per_degree
     if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
         return SocleVector(tuple(len(level) for level in levels))
     last = table.num_variables - 1
-    final = [_is_final_segment(level) for level in levels]
+    final = [isinstance(level, _FinalSegment) and len(level[0]) == last + 1 and sum(level[0]) == d
+             for d, level in enumerate(levels)]
     entries = []
     for degree, (level, above) in enumerate(zip(levels, levels[1:])):
         if final[degree] and final[degree + 1]:
@@ -214,7 +211,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
         upper = set(above)
         count = 0
         for m in level:
-            if m[:last] + (m[last] + 1,) in upper:
+            if m[:last] + (m[last] + 1,) + m[last + 1 :] in upper:
                 continue
             if not any(m[:v] + (m[v] + 1,) + m[v + 1 :] in upper for v in range(last)):
                 count += 1

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from itertools import combinations_with_replacement
 
@@ -269,6 +271,74 @@ def test_realization_and_socle_match_the_naive_oracles():
     )
     for table in tables:
         assert socle_vector(table).entries == naive_socle(table), table
+
+
+def plain(table):
+    """The same table with every level rebuilt as a plain tuple, so socle_vector probes it."""
+    return SurvivorTable(table.num_variables, tuple(tuple(level) for level in table.per_degree))
+
+
+def random_o_sequence(rng, r, e):
+    """1, r, then each entry drawn from [bound/4, bound] under the growth bound of the one before."""
+    h = [1, r]
+    for d in range(1, e):
+        bound = macaulay_bound(h[d], d)
+        h.append(rng.randint(max(1, bound // 4), bound))
+    return HVector(h)
+
+
+class TestMarkedLevels:
+    def test_bisection_matches_the_probe_loop_on_every_workload_shape(self):
+        rng = random.Random(1103)
+        for r in range(3, 21):
+            for e in range(2, 6):
+                table = lex_segment_realization(random_o_sequence(rng, r, e))
+                fast = socle_vector(table).entries
+                assert fast == socle_vector(plain(table)).entries, (r, e)
+                if r <= 8:
+                    assert fast == naive_socle(table), (r, e)
+
+    def test_levels_moved_to_another_degree_are_probed(self):
+        rng = random.Random(1104)
+        for _ in range(60):
+            r = rng.randint(2, 5)
+            pool = [
+                level
+                for _ in range(3)
+                for level in lex_segment_realization(random_o_sequence(rng, r, 4)).per_degree
+            ]
+            levels = tuple(rng.choice(pool) for _ in range(rng.randint(2, 5)))
+            table = SurvivorTable(num_variables=r, per_degree=levels)
+            assert socle_vector(table).entries == naive_socle(table), levels
+
+    def test_levels_under_another_number_of_variables_are_probed(self):
+        rng = random.Random(1105)
+        for _ in range(40):
+            r = rng.randint(3, 6)
+            levels = lex_segment_realization(random_o_sequence(rng, r, 4)).per_degree
+            for fewer in range(1, r):
+                table = SurvivorTable(num_variables=fewer, per_degree=levels)
+                assert socle_vector(table).entries == naive_socle(table), (fewer, levels)
+
+    def test_a_marked_level_next_to_a_plain_one_is_probed(self):
+        rng = random.Random(1106)
+        for _ in range(60):
+            r = rng.randint(2, 5)
+            levels = list(lex_segment_realization(random_o_sequence(rng, r, 4)).per_degree)
+            d = rng.randrange(1, len(levels))
+            # a hand-made level of the same size: the largest monomials, not the smallest
+            levels[d] = monomials_of_degree(r, d)[: len(levels[d])]
+            table = SurvivorTable(num_variables=r, per_degree=tuple(levels))
+            assert socle_vector(table).entries == naive_socle(table), levels
+
+    def test_pickled_and_copied_realizations_keep_their_socle(self):
+        rng = random.Random(1107)
+        for r in (3, 7, 12):
+            table = lex_segment_realization(random_o_sequence(rng, r, 5))
+            expected = socle_vector(table)
+            for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+                assert clone == table
+                assert socle_vector(clone) == expected
 
 
 class TestMaxGrowth:
