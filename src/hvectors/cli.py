@@ -77,14 +77,26 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 )
 
 
+def _parse_integer(token: str) -> int:
+    """ASCII digits with an optional sign; int() alone also takes '1_0' and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def _integer_flag(text: str) -> int:
+    try:
+        return _parse_integer(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_hvector(text: str) -> HVector:
     values = []
     for token in (t.strip() for t in text.split(",")):
         if not token:
             raise ValueError(f"empty entry in {text!r}")
-        if not _INTEGER.fullmatch(token):
-            raise ValueError(f"not an integer: {token!r}")
-        values.append(int(token))
+        values.append(_parse_integer(token))
     return HVector(values)
 
 
@@ -275,20 +287,20 @@ _JSON = ("--json", {"action": "store_true"})
 # whose flags include _HVECTOR gets the parsed HVector as its first argument.
 _COMMANDS = {
     "expand": (_cmd_expand, "i-binomial expansion and growth bound",
-               (("n", {"type": int}), ("i", {"type": int}))),
+               (("n", {"type": _integer_flag}), ("i", {"type": _integer_flag}))),
     "check": (_cmd_check, "run every predicate on an h-vector", (_HVECTOR, _JSON)),
     "classify": (_cmd_classify, "three-way Gorenstein verdict", (_HVECTOR, _JSON)),
     "realize": (_cmd_realize, "lex-smallest monomial realization", (_HVECTOR,)),
     "socle": (_cmd_socle, "socle vector of the realization", (_HVECTOR,)),
     "decompose": (_cmd_decompose, "find a pivot decomposition",
-                  (_HVECTOR, ("--pivot", {"type": int, "default": 1}), _JSON)),
+                  (_HVECTOR, ("--pivot", {"type": _integer_flag, "default": 1}), _JSON)),
     "refute": (_cmd_refute,
                "exhaust decomposition candidates against a symmetric non-SI input",
                (_HVECTOR, _JSON)),
     "enumerate": (_cmd_enumerate, "stream an h-vector family as JSON lines", (
-        ("--degree", {"type": int, "required": True}),
-        ("--codim", {"type": int, "required": True}),
-        ("--cap", {"type": int, "default": 25}),
+        ("--degree", {"type": _integer_flag, "required": True}),
+        ("--codim", {"type": _integer_flag, "required": True}),
+        ("--cap", {"type": _integer_flag, "default": 25}),
         ("--filter", {"default": "si", "choices": [f.value for f in SequenceFilter]}),
         ("--count-only", {"action": "store_true"}),
     )),

@@ -230,16 +230,25 @@ def max_growth_bruteforce(
     in S.  The search is exact: it branches over which degree-(i+1)
     monomials to cover, bounding the union of their divisor sets by n,
     which reaches the same maximum because any chosen union extends to an
-    n-element S.  Each node passes on only the monomials still affordable
-    under its union, and counts those it already covers for free.
+    n-element S.  Picks come largest first, each the largest not yet
+    covered; a node passes on only the monomials still affordable under
+    its union, and counts those it already covers for free.
 
-    The first monomial taken is only ever one with non-increasing
-    exponents.  Permuting the variables permutes divisor sets, so it maps
-    an optimal covered set T to another one.  Pick the permutation that
-    makes the largest member t of the image as large as possible: t has
-    non-increasing exponents, for otherwise swapping two out-of-order
-    exponents would make it larger still.  The search takes the members
-    of that image largest first, so its first choice is such a t.
+    Each pick must have non-increasing exponents on every run of variables
+    where all earlier picks have equal exponents, which makes it the
+    largest in its orbit under the variable permutations that fix every
+    earlier pick.  The rule loses nothing.  Take an optimal covered set
+    that is closed, holding every monomial whose divisors lie in its union;
+    permuting the variables permutes divisor sets, so each of its images
+    is optimal and closed too.  Let T be the image whose descending member
+    list is lex-largest, and follow the branch whose every pick is the
+    largest member of T not yet covered; it stays within budget and covers
+    all of T.  If a permutation fixing the earlier picks raised a pick t,
+    it would fix their union and so the set C of monomials that union
+    covers.  C lies in T, as T is closed, and holds every member of T above
+    t but not t.  The image of T would then hold all of C and the image of
+    t, which lies above t and outside C, so its descending list would be
+    lex-larger than T's: a contradiction.  So that branch obeys the rule.
     Raises InfeasibleSearchError past the node budget.
     """
     if n < 1 or i < 1 or r < 1:
@@ -249,13 +258,14 @@ def max_growth_bruteforce(
         raise ValueError(
             f"only {len(lower)} monomials of degree {i} in {r} variables, needs {n}"
         )
-    masks = _divisor_masks(r, i + 1)
-    upper = monomials_of_degree(r, i + 1)
-    roots = [k for k, mask in enumerate(masks) if mask.bit_count() <= n]
-    representatives = [all(a >= b for a, b in zip(upper[k], upper[k][1:])) for k in roots]
-    best, nodes = _most_covered(
-        [masks[k] for k in roots], 0, 0, 0, 0, n, node_budget, representatives
-    )
+    # each candidate is (divisor mask, bits x with m[x] < m[x+1], bits x with m[x] == m[x+1])
+    candidates = [
+        (mask, sum(1 << x for x in range(r - 1) if m[x] < m[x + 1]),
+         sum(1 << x for x in range(r - 1) if m[x] == m[x + 1]))
+        for mask, m in zip(_divisor_masks(r, i + 1), monomials_of_degree(r, i + 1))
+        if mask.bit_count() <= n
+    ]
+    best, nodes = _most_covered(candidates, (1 << r - 1) - 1, 0, 0, 0, 0, n, node_budget)
     if nodes > node_budget:
         raise InfeasibleSearchError(f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes")
     return best
@@ -264,31 +274,35 @@ def max_growth_bruteforce(
 # A module function, not a closure: a closure that calls itself holds its own cell, and
 # every search would leave that cycle behind for the garbage collector.
 def _most_covered(
-    candidates: list[int],
+    candidates: list[tuple[int, int, int]],
+    ties: int,
     union: int,
     count: int,
     best: int,
     nodes: int,
     n: int,
     node_budget: int,
-    takeable: list[bool] | None = None,
 ) -> tuple[int, int]:
     """(best, nodes) once the branches below a node covering count monomials are searched.
 
-    The caller has already counted the node itself into best.  Returns early
-    once nodes pass the budget.
+    Bit x of ties is set when every earlier pick has equal exponents on
+    variables x and x+1; a candidate whose exponents rise at any such x is
+    not the largest in its orbit, so it is passed over as a pick but can
+    still be covered for free.  A pick keeps the ties on which its own
+    exponents are equal.  The caller has already counted the node itself
+    into best.  Returns early once nodes pass the budget.
     """
-    for k, mask in enumerate(candidates):
+    for k, (mask, rises, equal) in enumerate(candidates):
         nodes += 1
         if nodes > node_budget or count + len(candidates) - k <= best:
             return best, nodes
-        if takeable is not None and not takeable[k]:
+        if rises & ties:
             continue
         merged = union | mask
         free = 0
         affordable = []
         for other in candidates[k + 1 :]:
-            widened = merged | other
+            widened = merged | other[0]
             if widened == merged:
                 free += 1
             elif widened.bit_count() <= n:
@@ -297,7 +311,9 @@ def _most_covered(
         if covered > best:
             best = covered
         if affordable:
-            best, nodes = _most_covered(affordable, merged, covered, best, nodes, n, node_budget)
+            best, nodes = _most_covered(
+                affordable, ties & equal, merged, covered, best, nodes, n, node_budget
+            )
     return best, nodes
 
 

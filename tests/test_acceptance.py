@@ -67,8 +67,8 @@ def _si_box(socle_degree):
 
 
 def test_criterion_1_growth_bound_oracle_equivalence():
-    with criterion(1, "bound operator equals brute-force maximal growth (n<=6, i<=3, r=n)"):
-        for n in range(1, 7):
+    with criterion(1, "bound operator equals brute-force maximal growth (n<=7, i<=3, r=n)"):
+        for n in range(1, 8):
             for i in range(1, 4):
                 assert max_growth_bruteforce(n, i, n) == macaulay_bound(n, i), (n, i)
 

@@ -324,6 +324,30 @@ def test_recursion_past_the_depth_limit_exits_five(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("expand", "1_0", "2"), "1_0"),
+        (("expand", "4", "\u0662"), "\u0662"),
+        (("decompose", "1,3,4,3,1", "--pivot", "1_0"), "1_0"),
+        (("enumerate", "--degree", "\u0663", "--codim", "3", "--count-only"), "\u0663"),
+        (("enumerate", "--degree", "3", "--codim", "3_0", "--count-only"), "3_0"),
+        (("enumerate", "--degree", "3", "--codim", "3", "--cap", "2_5"), "2_5"),
+    ],
+    ids=["expand-separator", "expand-arabic-indic", "pivot", "degree", "codim", "cap"],
+)
+def test_integer_flags_take_only_ascii_digits(argv, token):
+    # the rule h-vector entries follow (TestCheck.test_digit_separator_is_not_an_integer)
+    code, out, err = outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: hvec {argv[0]}")
+    assert err.endswith(f"not an integer: {token!r}\n")
+
+
+def test_integer_flags_still_take_signs_and_padding():
+    assert outcome(("expand", " 4 ", "+2")) == (0, (GOLDEN_DIR / "expand_4_2.txt").read_text(), "")
+
+
 def test_bad_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])

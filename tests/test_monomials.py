@@ -370,6 +370,42 @@ class TestMaxGrowth:
                     if r >= n:
                         assert value == macaulay_bound(n, i)
 
+    # max_growth_bruteforce(n, i, r) for r = 1..n+1 from the search before symmetry pruning
+    # reached past the first pick; None where fewer than n degree-i monomials exist
+    UNPRUNED_VALUES = {
+        (1, 1): (1, 1),
+        (1, 2): (1, 1),
+        (1, 3): (1, 1),
+        (2, 1): (None, 3, 3),
+        (2, 2): (None, 2, 2),
+        (2, 3): (None, 2, 2),
+        (3, 1): (None, None, 6, 6),
+        (3, 2): (None, 4, 4, 4),
+        (3, 3): (None, 3, 3, 3),
+        (4, 1): (None, None, None, 10, 10),
+        (4, 2): (None, None, 5, 5, 5),
+        (4, 3): (None, 5, 5, 5, 5),
+        (5, 1): (None, None, None, None, 15, 15),
+        (5, 2): (None, None, 7, 7, 7, 7),
+        (5, 3): (None, None, 6, 6, 6, 6),
+        (6, 1): (None, None, None, None, None, 21, 21),
+        (6, 2): (None, None, 10, 10, 10, 10, 10),
+        (6, 3): (None, None, 7, 7, 7, 7, 7),
+    }
+
+    def test_matches_the_unpruned_search(self):
+        for (n, i), values in self.UNPRUNED_VALUES.items():
+            for r, expected in enumerate(values, start=1):
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        max_growth_bruteforce(n, i, r)
+                else:
+                    assert max_growth_bruteforce(n, i, r) == expected, (n, i, r)
+
+    def test_symmetry_pruning_reaches_every_pick(self):
+        # pruning only the first pick needs 44,219 nodes here
+        assert max_growth_bruteforce(6, 3, 6, node_budget=10_000) == 7
+
     def test_search_leaves_no_cyclic_garbage(self):
         # reference counting alone frees what the search built, so the collector has nothing to do
         gc.collect()
