@@ -25,6 +25,7 @@ from .enumeration import differentiable_prefixes, mirror
 from .monomials import InfeasibleSearchError
 from .sequences import (
     HVector,
+    is_differentiable,
     is_si_sequence,
     is_symmetric,
     o_sequence_violation,
@@ -120,15 +121,16 @@ def _subtrahends(
     degrees pivot..pivot+k-1 and at their mirror images, so it dies, with
     all of its extensions, as soon as the front step ending at degree
     pivot+k-1 or the mirror step ending at degree pivot+socle-k+2 breaks
-    growth; `on_dead(half, degree)` hears of each, with that end degree.
+    growth.  `keep` tests each half before the walk descends into it, and
+    `on_dead(half, degree)` hears of each dead one, with that end degree.
     The steps no half fixes alone (before the pivot, and the middle step
     of an odd socle) are left to the caller's check of each candidate.
     """
     values = h.entries
     socle = h.socle_degree - pivot
-    # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]
-    caps = [min(values[pivot + k], values[pivot + socle - k]) for k in range(socle // 2 + 1)]
-    caps = list(accumulate(reversed(caps), min))[::-1]
+    # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]; k runs socle//2..0
+    fronts, mirrors = values[pivot + socle // 2 : pivot - 1 : -1], values[-1 - socle // 2 :]
+    caps = list(accumulate(map(min, fronts, mirrors), min))[::-1]
 
     def keep(half: tuple[int, ...]) -> bool:
         # front step: residual degrees d-1, d lose a_{k-2}, a_{k-1}; the mirror step swaps them
@@ -191,9 +193,9 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError(
             f"refutation needs codimension 3, got {h.codimension}"
         )
-    if not is_symmetric(h.entries):
+    if h.entries != h.entries[::-1]:
         raise PreconditionViolatedError("refutation needs a symmetric input")
-    if is_si_sequence(h.entries):
+    if is_differentiable(h.entries[: h.socle_degree // 2 + 1]):  # the SI test, given symmetry
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []

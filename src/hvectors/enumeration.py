@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import filterfalse, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
-from .sequences import HVector, is_si_sequence
+from .sequences import HVector, is_differentiable
 
 
 class SequenceFilter(Enum):
@@ -52,8 +52,9 @@ def differentiable_prefixes(
 
     r runs over the given codimensions and every h_k stays within caps[k].
     Extensions are driven by the bound on the difference sequence, so
-    everything constructed is differentiable; a prefix (1, r, ...) that
-    `keep` rejects is dropped together with all of its extensions.  Yields in ascending
+    everything constructed is differentiable.  `keep` runs on each prefix
+    (1, r, ...) before the walk descends into it, in walk order, and a prefix
+    it rejects is dropped together with all of its extensions.  Yields in ascending
     entry order, which is lexicographic order of the output.
     """
     if len(caps) == 1:
@@ -62,7 +63,9 @@ def differentiable_prefixes(
     for codimension in codimensions:
         if codimension > caps[1]:
             return
-        yield from _extend((1, codimension), codimension - 1, caps, keep)
+        root = (1, codimension)
+        if keep is None or keep(root):
+            yield from _extend(root, codimension - 1, caps, keep) if len(caps) > 2 else (root,)
 
 
 # Module functions, not closures: a closure that calls itself holds its own cell, and
@@ -70,15 +73,17 @@ def differentiable_prefixes(
 def _extend(
     values: tuple[int, ...], delta: int, caps: Sequence[int], keep: Callable[..., bool] | None
 ) -> Iterator[tuple[int, ...]]:
-    if keep is not None and not keep(values):
-        return
+    """The kept extensions of a kept prefix shorter than caps; a child is tested before its walk."""
     d = len(values)
-    if d == len(caps):
-        yield values
-        return
-    limit = min(macaulay_bound(delta, d - 1), caps[d] - values[-1])
-    for step in range(limit + 1):
-        yield from _extend(values + (values[-1] + step,), step, caps, keep)
+    last = values[-1]
+    full = d + 1 == len(caps)
+    for step in range(min(macaulay_bound(delta, d - 1), caps[d] - last) + 1):
+        child = values + (last + step,)
+        if keep is None or keep(child):
+            if full:
+                yield child
+            else:
+                yield from _extend(child, step, caps, keep)
 
 
 def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -104,6 +109,11 @@ def _symmetric_stream(spec: EnumerationSpec, prefixes) -> Iterator[HVector]:
         return
     for prefix in prefixes(spec.codimension, e // 2 + 1, spec.entry_cap):
         yield HVector(mirror(prefix, e))
+
+
+def _non_si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
+    # a symmetric vector is SI exactly when its first half, the prefix, is differentiable
+    return filterfalse(is_differentiable, _free_prefixes(codimension, length, cap))
 
 
 def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -136,9 +146,8 @@ def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
     elif spec.filter is SequenceFilter.SI:
         yield from _symmetric_stream(spec, _si_prefixes)
     elif spec.filter is SequenceFilter.SYMMETRIC_NOT_SI:
-        for h in _symmetric_stream(spec, _free_prefixes):
-            if not is_si_sequence(h.entries):
-                yield h
+        if spec.socle_degree > 1:  # below that the only symmetric vector, (1, 1), is SI
+            yield from _symmetric_stream(spec, _non_si_prefixes)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown filter {spec.filter}")
 

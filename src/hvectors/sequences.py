@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
@@ -30,20 +31,22 @@ class HVector:
 
     def __init__(self, entries: Sequence[int]) -> None:
         entries = tuple(entries)
-        for degree, value in enumerate(entries):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"entry {value!r} at degree {degree} is not an integer")
-        normalized = strip_trailing_zeros(entries)
-        if not normalized:
-            raise ValueError("h-vector has no positive entry")
-        if normalized[0] != 1:
-            raise ValueError(f"h-vector must start with 1, got {normalized[0]}")
-        for degree, value in enumerate(normalized):
-            if value < 0:
-                raise ValueError(f"negative entry {value} at degree {degree}")
-            if value == 0:
-                raise ValueError(f"internal zero at degree {degree}")
-        object.__setattr__(self, "entries", normalized)
+        # exact positive ints starting with 1 are already normal; anything else is checked in full
+        if not (set(map(type, entries)) == {int} and entries[0] == 1 and min(entries) > 0):
+            for degree, value in enumerate(entries):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"entry {value!r} at degree {degree} is not an integer")
+            entries = strip_trailing_zeros(entries)
+            if not entries:
+                raise ValueError("h-vector has no positive entry")
+            if entries[0] != 1:
+                raise ValueError(f"h-vector must start with 1, got {entries[0]}")
+            for degree, value in enumerate(entries):
+                if value < 0:
+                    raise ValueError(f"negative entry {value} at degree {degree}")
+                if value == 0:
+                    raise ValueError(f"internal zero at degree {degree}")
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"HVector is immutable; cannot set or delete {name!r}")
@@ -96,7 +99,7 @@ def o_sequence_violation(seq: Sequence[int]) -> int | None:
     entries = tuple(seq)
     if not entries or entries[0] != 1:
         raise ValueError("growth check needs a sequence starting with 1")
-    if any(x < 0 for x in entries):
+    if min(entries) < 0:
         raise ValueError("growth check needs non-negative entries")
     entries = strip_trailing_zeros(entries)
     for d in range(1, len(entries) - 1):
@@ -114,15 +117,14 @@ def first_difference(seq: Sequence[int]) -> tuple[int, ...]:
     entries = tuple(seq)
     if not entries or entries[0] != 1:
         raise ValueError("first difference needs a sequence starting with 1")
-    return (1,) + tuple(entries[d] - entries[d - 1] for d in range(1, len(entries)))
+    return (1,) + tuple(map(sub, entries[1:], entries))
 
 
 def differentiability_violation(seq: Sequence[int]) -> int | None:
     """Degree at which the first difference stops being a legal growth sequence."""
     diff = first_difference(seq)
-    for degree, value in enumerate(diff):
-        if value < 0:
-            return degree
+    if min(diff) < 0:
+        return next(degree for degree, value in enumerate(diff) if value < 0)
     return o_sequence_violation(diff)
 
 

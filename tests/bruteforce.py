@@ -52,6 +52,30 @@ def all_expansions(n: int, i: int) -> list[tuple[tuple[int, int], ...]]:
     return results
 
 
+def naive_hvector(values: Sequence) -> tuple[tuple | None, str | None]:
+    """What HVector keeps of the values, or the message refusing them, by its definition.
+
+    Every value must be an int and not a bool; trailing zeros go; what is
+    left must start with 1 and have no entry below 1.
+    """
+    for degree, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return None, f"entry {value!r} at degree {degree} is not an integer"
+    kept = list(values)
+    while kept and kept[-1] == 0:
+        kept.pop()
+    if not kept:
+        return None, "h-vector has no positive entry"
+    if kept[0] != 1:
+        return None, f"h-vector must start with 1, got {kept[0]}"
+    for degree, value in enumerate(kept):
+        if value < 0:
+            return None, f"negative entry {value} at degree {degree}"
+        if value == 0:
+            return None, f"internal zero at degree {degree}"
+    return tuple(kept), None
+
+
 @lru_cache(maxsize=None)
 def naive_bound(n: int, i: int) -> int:
     """Largest successor of n in degree i+1, read off its only legal expansion."""

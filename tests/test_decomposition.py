@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from math import comb
 
@@ -273,6 +274,24 @@ class TestRefute:
                     assert_covers_naive_family(h, refute_non_si(HVector(h)))
                     checked += 1
         assert checked == 16_869
+
+    def test_certificates_and_decompositions_keep_their_frozen_order(self):
+        # SHA-256 of every refutation certificate and canonical pivot-1 decomposition on the
+        # e <= 8, cap-25 box, entry by entry in walk order, frozen before the walk's fixed
+        # costs were cut; the coverage test above compares sorted families and misses a reorder
+        digest = hashlib.sha256()
+        for e in range(2, 9):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                if is_si_sequence(h):
+                    found = find_pivot_decomposition(HVector(h), 1)
+                    line = (h, found.subtrahend, found.residual)
+                else:
+                    report = refute_non_si(HVector(h))
+                    line = (h, [tuple(c) for c in report.refuted], report.survivors)
+                digest.update(repr(line).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "81fc431b7286ef36586122d4f25689a9a53f69addc36d38d558ae70d0daf2d37"
+        )
 
     @given(st.integers(4, 12).flatmap(
         lambda e: st.tuples(st.just(e), st.lists(st.integers(1, 12), min_size=e // 2 - 1,

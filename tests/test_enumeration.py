@@ -98,15 +98,17 @@ class TestAgainstNaiveGenerators:
         naive = {v for v in full_box_vectors(e, 3, cap) if is_o_sequence(v)}
         assert set(stream(e, 3, cap=cap, filter=SequenceFilter.ALL_O_SEQUENCES)) == naive
 
-    @pytest.mark.parametrize("e", range(0, 6))
+    @pytest.mark.parametrize("e", range(0, 7))
     def test_symmetric_not_si_filter_agreement(self, e):
-        cap = 12
-        naive = {
-            v
-            for v in full_box_vectors(e, 3, cap)
-            if is_symmetric(v) and not is_si_sequence(v)
-        }
-        assert set(stream(e, 3, cap=cap, filter=SequenceFilter.SYMMETRIC_NOT_SI)) == naive
+        # the same vectors in the same order; at e = 1 the one symmetric vector, (1, 1), is SI
+        for r in range(1, 5):
+            for cap in (r, r + 1, 7):
+                naive = [
+                    v
+                    for v in full_box_vectors(e, r, cap)
+                    if is_symmetric(v) and not is_si_sequence(v)
+                ]
+                assert stream(e, r, cap=cap, filter=SequenceFilter.SYMMETRIC_NOT_SI) == naive
 
 
 class TestDownstreamConsistency:

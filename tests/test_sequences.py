@@ -1,6 +1,11 @@
+import re
+from enum import IntEnum
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from bruteforce import naive_hvector
 
 from hvectors import (
     HVector,
@@ -79,6 +84,41 @@ class TestHVector:
     def test_rejects_non_integer_entries(self, bad, degree):
         with pytest.raises(ValueError, match=f"at degree {degree} is not an integer"):
             HVector(bad)
+
+
+class Small(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+# ints, bools, floats, an IntEnum, negatives and zeros; the lead and the tail are drawn apart
+ENTRIES = st.one_of(st.integers(-2, 5), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]),
+                    st.sampled_from(Small))
+MIXED_VECTORS = st.builds(
+    lambda lead, body, tail: (lead, *body, *tail),
+    st.sampled_from([1, 1, 1, 1, 2, 0, -1, True, 1.0, Small.ONE]),
+    st.one_of(st.lists(st.integers(-1, 5), max_size=6), st.lists(ENTRIES, max_size=6)),
+    st.lists(st.sampled_from([0, 0, False, 0.0, Small.ZERO]), max_size=3),
+)
+
+
+@given(MIXED_VECTORS)
+@example(())
+@example((0, 0))
+@example((1, 3, 3, 1))
+@example((1, 2, 0, 1))
+@example((1, Small.TWO, 0))
+@example((1, 2, -1, 0))
+def test_hvector_accepts_exactly_what_the_naive_rule_accepts(values):
+    kept, message = naive_hvector(values)
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HVector(values)
+    else:
+        h = HVector(values)
+        assert h.entries == kept
+        assert list(map(type, h.entries)) == list(map(type, kept))
 
 
 class TestOSequence:
