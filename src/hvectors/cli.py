@@ -5,8 +5,8 @@ Exit codes: 0 success (SI / Gorenstein / clean search), 1 negative result
 2 malformed input or violated precondition, 3 Undecided classification,
 4 mathematically impossible outcome (a refutation survivor or a failing
 growth trace, i.e. an implementation bug), 5 budget exceeded (a search
-that would run past its fixed budget, memory ran out, or a recursion ran
-past Python's depth limit).
+that would run past its fixed budget, or memory ran out; a
+RecursionError maps to 5 too, as a guard).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import filterfalse, product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
 from .sequences import HVector, is_differentiable
@@ -50,7 +50,8 @@ def differentiable_prefixes(
 ) -> Iterator[tuple[int, ...]]:
     """Prefixes (1, r, h_2, ...) of length len(caps) whose first difference obeys growth.
 
-    r runs over the given codimensions and every h_k stays within caps[k].
+    r runs over the given ascending codimensions and, like every h_k, stays
+    within caps[k].
     Extensions are driven by the bound on the difference sequence, so
     everything constructed is differentiable.  `keep` runs on each prefix
     (1, r, ...) before the walk descends into it, in walk order, and a prefix
@@ -58,32 +59,47 @@ def differentiable_prefixes(
     entry order, which is lexicographic order of the output.
     """
     if len(caps) == 1:
-        yield (1,)
-        return
-    for codimension in codimensions:
-        if codimension > caps[1]:
-            return
-        root = (1, codimension)
-        if keep is None or keep(root):
-            yield from _extend(root, codimension - 1, caps, keep) if len(caps) > 2 else (root,)
+        return iter(((1,),))
+    first = range(codimensions.start, min(codimensions.stop, caps[1] + 1), codimensions.step)
+    return _grow(first, caps, keep, 0, True)
 
 
-# Module functions, not closures: a closure that calls itself holds its own cell, and
-# that cycle would keep everything the walk references alive until a garbage collection.
-def _extend(
-    values: tuple[int, ...], delta: int, caps: Sequence[int], keep: Callable[..., bool] | None
+def _grow(
+    first: Iterable[int],
+    caps: Sequence[int],
+    keep: Callable[[tuple[int, ...]], bool] | None,
+    low: int,
+    cumulative: bool,
 ) -> Iterator[tuple[int, ...]]:
-    """The kept extensions of a kept prefix shorter than caps; a child is tested before its walk."""
-    d = len(values)
-    last = values[-1]
-    full = d + 1 == len(caps)
-    for step in range(min(macaulay_bound(delta, d - 1), caps[d] - last) + 1):
-        child = values + (last + step,)
-        if keep is None or keep(child):
-            if full:
-                yield child
-            else:
-                yield from _extend(child, step, caps, keep)
+    """Sequences (1, h_1, ..., h_n), n = len(caps) - 1 >= 1, grown degree by degree in lex order.
+
+    h_1 runs over `first`.  Each later degree d adds a growth entry g_d,
+    which is h_d - h_{d-1} when cumulative and h_d itself otherwise; g_d
+    runs from low up to macaulay_bound(g_{d-1}, d-1), and h_d stays within
+    caps[d].  `keep` sees each child, in walk order, before the walk
+    descends into it, and a child it rejects is dropped with all of its
+    extensions.  One mutable path and a stack of the values left at each
+    open degree stand in for recursion, so the walk has no depth limit.
+    """
+    path = [1, 0]
+    stack = [iter(first)]
+    while stack:
+        for value in stack[-1]:
+            path[-1] = value
+            if keep is not None and not keep(tuple(path)):
+                continue
+            d = len(path)
+            if d == len(caps):
+                yield tuple(path)
+                continue
+            base = value if cumulative else 0
+            bound = macaulay_bound(value - path[-2] if cumulative else value, d - 1)
+            stack.append(iter(range(base + low, min(base + bound, caps[d]) + 1)))
+            path.append(0)
+            break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -123,18 +139,8 @@ def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int,
 def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
     if spec.socle_degree == 0:
         return
-    for values in _o_sequences((1, spec.codimension), spec.socle_degree, spec.entry_cap):
-        yield HVector(values)
-
-
-def _o_sequences(values: tuple[int, ...], socle_degree: int, cap: int) -> Iterator[tuple[int, ...]]:
-    d = len(values) - 1
-    if d == socle_degree:
-        yield values
-        return
-    limit = min(macaulay_bound(values[-1], d), cap)
-    for value in range(1, limit + 1):
-        yield from _o_sequences(values + (value,), socle_degree, cap)
+    caps = (spec.entry_cap,) * (spec.socle_degree + 1)
+    yield from map(HVector, _grow((spec.codimension,), caps, None, 1, False))
 
 
 def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:

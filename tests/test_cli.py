@@ -242,6 +242,16 @@ class TestDecomposeAndRefute:
         assert err == "error: MemoryError\n"
         assert "Traceback" not in err
 
+    def test_recursion_error_exits_five(self, capsys, monkeypatch):
+        def bottomless(h, pivot):
+            return bottomless(h, pivot)
+
+        monkeypatch.setattr(cli, "find_pivot_decomposition", bottomless)
+        code, out, err = run(capsys, "decompose", "1,3,4,3,1")
+        assert (code, out) == (5, "")
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
+
     def test_refute_walks_no_dead_branches(self, capsys):
         # the dip caps the whole first half at 3; a walk that meets the cap
         # only at the dip builds millions of prefixes that end there
@@ -270,6 +280,15 @@ class TestEnumerate:
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[-1] == {"degree": 4, "count": 4}
+
+    def test_catalog_counts_on_a_small_box(self, capsys):
+        # the codimension-3 Gorenstein h-vectors with entries up to 25, by socle degree
+        code, out, _ = run(capsys, "enumerate", "--degree", "6", "--codim", "3",
+                           "--filter", "si", "--count-only")
+        assert code == 0
+        counts = [json.loads(line) for line in out.splitlines()]
+        assert [line["degree"] for line in counts] == list(range(7))
+        assert [line["count"] for line in counts][2:] == [1, 1, 4, 4, 11]
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -309,19 +328,18 @@ def test_malformed_input_exits_two_with_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["decompose", ",".join(["1"] * 2500)],
-        ["enumerate", "--degree", "1200", "--codim", "1", "--cap", "1", "--filter", "o-sequence"],
+        (["decompose", ",".join(["1"] * 2500)],
+         "a = " + ",".join(["1"] * 2499) + "; residual = 1\n"),
+        (["enumerate", "--degree", "1200", "--codim", "1", "--cap", "1", "--filter", "o-sequence"],
+         '{"h":[' + ",".join(["1"] * 1201) + "]}\n"),
     ],
     ids=["decompose-2500-ones", "enumerate-degree-1200"],
 )
-def test_recursion_past_the_depth_limit_exits_five(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (5, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+def test_inputs_past_the_recursion_limit_answer(capsys, argv, expected):
+    # the searches keep an explicit stack, so their depth is not bounded by the interpreter's
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 @pytest.mark.parametrize(
@@ -411,21 +429,18 @@ def test_fuzzed_argv_exits_with_a_documented_code_and_repeats(argv):
 
 # Codimension 1 and cap 1 leave at most one vector per degree under every
 # filter, so large degrees stay cheap; a cap above the codimension would let
-# the symmetric filters walk cap^(D/2) prefixes.
+# the symmetric filters walk cap^(D/2) prefixes.  That vector is all ones, it
+# exists from socle degree 1 on, and it is SI.
 @settings(max_examples=4)
 @given(st.integers(900, 1300), st.sampled_from([f.value for f in SequenceFilter]),
        st.sampled_from([(), ("--count-only",)]))
-def test_fuzzed_large_enumerate_degrees_answer_or_exit_five(degree, filter_, count):
+def test_fuzzed_large_enumerate_degrees_answer_exactly(degree, filter_, count):
     argv = ("enumerate", "--degree", str(degree), "--codim", "1", "--cap", "1",
             "--filter", filter_, *count)
-    code, out, err = outcome(argv)
-    assert code in (0, 5), (argv, code, err)
-    assert "Traceback" not in err
-    if code == 5:
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error:")
-    elif count:
-        assert len(out.splitlines()) == degree + 1
+    found = filter_ != SequenceFilter.SYMMETRIC_NOT_SI.value
+    if count:
+        expected = "".join(f'{{"degree":{e},"count":{int(found and e > 0)}}}\n'
+                           for e in range(degree + 1))
     else:
-        assert out in ("", '{"h":[' + ",".join(["1"] * (degree + 1)) + "]}\n")
+        expected = '{"h":[' + ",".join(["1"] * (degree + 1)) + "]}\n" if found else ""
+    assert outcome(argv) == (0, expected, "")

@@ -92,11 +92,13 @@ class TestAgainstNaiveGenerators:
         }
         assert set(stream(e, 3, cap=cap)) == naive
 
-    @pytest.mark.parametrize("e", range(0, 6))
+    @pytest.mark.parametrize("e", range(0, 7))
     def test_o_sequence_filter_agreement(self, e):
-        cap = 8
-        naive = {v for v in full_box_vectors(e, 3, cap) if is_o_sequence(v)}
-        assert set(stream(e, 3, cap=cap, filter=SequenceFilter.ALL_O_SEQUENCES)) == naive
+        # the same vectors in the same order
+        for r in range(1, 5):
+            for cap in (r, r + 1, 8):
+                naive = [v for v in full_box_vectors(e, r, cap) if is_o_sequence(v)]
+                assert stream(e, r, cap=cap, filter=SequenceFilter.ALL_O_SEQUENCES) == naive
 
     @pytest.mark.parametrize("e", range(0, 7))
     def test_symmetric_not_si_filter_agreement(self, e):

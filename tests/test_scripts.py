@@ -18,14 +18,6 @@ def run_script(name, *argv):
     )
 
 
-def test_catalog_counts_on_a_small_box():
-    result = run_script("gorenstein_catalog.py", "--max-degree", "6")
-    assert result.returncode == 0, result.stderr
-    counts = [int(line.split(":")[1].split()[0])
-              for line in result.stdout.splitlines() if line.startswith("socle degree")]
-    assert counts[2:] == [1, 1, 4, 4, 11]
-
-
 def test_verification_campaign_on_a_small_box():
     result = run_script("exhaustive_verification.py",
                         "--max-degree", "5", "--grid-n", "4", "--grid-i", "2")
