@@ -34,8 +34,8 @@ from .monomials import (
     InfeasibleSearchError,
     NotAnOSequenceError,
     lex_segment_realization,
+    lex_socle_vector,
     render_monomial,
-    socle_vector,
 )
 from .sequences import (
     HVector,
@@ -189,7 +189,7 @@ def _cmd_realize(h: HVector, args: argparse.Namespace) -> int:
 
 
 def _cmd_socle(h: HVector, args: argparse.Namespace) -> int:
-    print(str(socle_vector(lex_segment_realization(h))))
+    print(str(lex_socle_vector(h)))
     return EXIT_OK
 
 

@@ -8,13 +8,12 @@ first so that output is deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .binomials import macaulay_bound
+from .binomials import expand, macaulay_bound
 from .sequences import HVector
 
 Monomial = tuple[int, ...]
@@ -110,10 +109,18 @@ class SurvivorTable(NamedTuple):
         return len(self.per_degree) - 1
 
 
-class _FinalSegment(tuple):
-    """A level built as the final lex segment of its size; it acts as the plain tuple."""
+class _LexLevels(tuple):
+    """The per_degree of a lex realization; it acts as the plain tuple."""
 
     __slots__ = ()
+
+
+def _check_growth(h: HVector) -> None:
+    """Raise NotAnOSequenceError at the first degree whose entry exceeds its growth bound."""
+    for degree in range(2, len(h)):
+        available = macaulay_bound(h[degree - 1], degree - 1)
+        if h[degree] > available:
+            raise NotAnOSequenceError(degree, available, h[degree])
 
 
 def lex_segment_realization(h: HVector) -> SurvivorTable:
@@ -121,20 +128,15 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
 
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
-    of size macaulay_bound(n, d-1) in degree d, so each level is the last
-    h_d monomials of its degree.  Succeeds exactly when h satisfies
-    Macaulay growth at every step; the reported failure degree is the
-    first degree whose entry is too large.  Each level is a _FinalSegment,
-    which lets socle_vector count it without checking its order.
+    of size macaulay_bound(n, d-1) in degree d, so each level is the slice
+    of the last h_d monomials of its degree.  Raises for the first degree
+    that breaks Macaulay growth, before it builds any level.  per_degree
+    is a _LexLevels, so socle_vector answers from its sizes.
     """
-    num_variables = h.codimension
-    levels: list[tuple[Monomial, ...]] = [_FinalSegment(monomials_of_degree(num_variables, 0))]
-    for degree in range(1, h.socle_degree + 1):
-        available = macaulay_bound(h[degree - 1], degree - 1) if degree > 1 else num_variables
-        if h[degree] > available:
-            raise NotAnOSequenceError(degree, available, h[degree])
-        levels.append(_FinalSegment(monomials_of_degree(num_variables, degree)[-h[degree] :]))
-    return SurvivorTable(num_variables=num_variables, per_degree=tuple(levels))
+    _check_growth(h)
+    r = h.codimension
+    levels = _LexLevels(monomials_of_degree(r, d)[-size:] for d, size in enumerate(h))
+    return SurvivorTable(num_variables=r, per_degree=levels)
 
 
 def hilbert_function(table: SurvivorTable) -> HVector:
@@ -154,60 +156,55 @@ class SocleVector(NamedTuple):
         return ",".join(str(x) for x in self.entries)
 
 
-def _lex_rank(monomial: Monomial) -> int:
-    """How many monomials of the same degree in the same variables are smaller.
+@lru_cache(maxsize=None)
+def _last_variable_multiples(size: int, degree: int) -> int:
+    """How many of the final lex segment of this size >= 1 in this degree x_r divides.
 
-    A smaller monomial first falls short at some variable i.  With R the
-    degree left for variables i onward and k = r - 1 - i variables after i,
-    those falling short at i number C(R + k, k) - C(R - m_i + k, k): the
-    monomials of degree in (R - m_i, R] in the k later variables.  The last
-    exponent follows from the others, so no monomial falls short there.
+    With size = sum of C(t_j, j) by expand(size, degree), it is the sum of
+    C(t_j - 1, j - 1), whatever the number of variables: the count behind
+    Green's hyperplane-restriction theorem.  Cached like macaulay_bound.
     """
-    rank = 0
-    remaining = sum(monomial)
-    later = len(monomial) - 1
-    for exponent in monomial[:-1]:
-        rank += comb(remaining + later, later) - comb(remaining - exponent + later, later)
-        remaining -= exponent
-        later -= 1
-    return rank
+    return sum(comb(top - 1, bottom - 1) for top, bottom in expand(size, degree).terms)
+
+
+def _lex_socle(sizes: Sequence[int]) -> SocleVector:
+    """The socle vector of the lex realization whose levels have these sizes."""
+    entries = [size - _last_variable_multiples(above, degree)
+               for degree, (size, above) in enumerate(zip(sizes, sizes[1:]), 1)]
+    return SocleVector((*entries, sizes[-1]))
+
+
+def lex_socle_vector(h: HVector) -> SocleVector:
+    """socle_vector(lex_segment_realization(h)), or its error, with no level built."""
+    _check_growth(h)
+    return _lex_socle(h.entries)
 
 
 def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
     The top degree has nothing above it, so all of its survivors count.
-    A lex realization marks each of its levels as a _FinalSegment.  Where a
-    level and the one above it are both marked, and the first monomial of
-    each has num_variables slots and the degree of the level's position, the
-    count comes by bisection.  That O(r) check keeps the count exact when a
-    caller moves a marked level to another degree or into a table with
-    another number of variables.  x_r * m is the smallest degree-(d+1)
-    multiple of m, and a final segment holding any multiple of m also holds
-    every smaller monomial, so m has a multiple above exactly when x_r * m
-    is at most the top monomial above.  Since m -> x_r * m keeps order,
-    those m form a suffix of the level, and the socle count is the length
-    of the prefix before it.
+    A lex realization is known by its _LexLevels per_degree, whose degree-0
+    monomial must have num_variables slots (an O(r) check that catches the
+    container put in a table with another r).  There x_r * m is the
+    smallest multiple of m, and a final segment holding any multiple of m
+    holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
+    Each survivor above that x_r divides is x_r * m for one survivor m, so
+    the count is h_d less the x_r-multiples among h_{d+1}: a function of h.
 
-    Every other pair of levels goes through the probe loop: each survivor
-    probes a set of the next level upward, last variable first, and counts
-    only after all r probes miss.  That makes the count exact on any table,
-    order ideal or not, even one whose monomials have slots past the r-th.
+    Any other table goes through the probe loop: each survivor probes a set
+    of the next level upward, last variable first, and counts once all r
+    probes miss, which is exact on any table, order ideal or not, even one
+    whose monomials have slots past the r-th.
     """
     levels = table.per_degree
+    if isinstance(levels, _LexLevels) and len(levels[0][0]) == table.num_variables:
+        return _lex_socle([len(level) for level in levels])
     if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
         return SocleVector(tuple(len(level) for level in levels))
     last = table.num_variables - 1
-    final = [isinstance(level, _FinalSegment) and len(level[0]) == last + 1 and sum(level[0]) == d
-             for d, level in enumerate(levels)]
     entries = []
-    for degree, (level, above) in enumerate(zip(levels, levels[1:])):
-        if final[degree] and final[degree + 1]:
-            top = above[0]
-            entries.append(
-                bisect_left(level, True, key=lambda m: m[:last] + (m[last] + 1,) <= top)
-            )
-            continue
+    for level, above in zip(levels, levels[1:]):
         upper = set(above)
         count = 0
         for m in level:

@@ -159,6 +159,14 @@ def exponent_vectors(num_variables: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
+def naive_last_variable_multiples(
+    num_variables: int, degree: int, size: int
+) -> list[tuple[int, ...]]:
+    """The members of the final lex segment of this size in this degree that x_r divides."""
+    segment = exponent_vectors(num_variables, degree)[:size]  # ascending, smallest first
+    return [m for m in segment if m[-1] > 0]
+
+
 def naive_lex_realization(
     h: Sequence[int],
 ) -> tuple[list[tuple[tuple[int, ...], ...]], tuple[int, int, int] | None]:

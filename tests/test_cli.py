@@ -13,6 +13,12 @@ from bruteforce import naive_refutes
 from hvectors import cli, decomposition
 from hvectors.cli import build_parser, main
 from hvectors.enumeration import SequenceFilter
+from hvectors.monomials import (
+    SurvivorTable,
+    lex_segment_realization,
+    monomials_of_degree,
+    socle_vector,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -162,6 +168,12 @@ class TestRealizeAndSocle:
     def test_socle_in_many_variables(self, capsys):
         code, out, _ = run(capsys, "socle", "1,1100")
         assert (code, out) == (0, "0,1100\n")
+
+    def test_socle_builds_no_level(self, capsys):
+        # the degree-6 level of the realization would hold one of 8.1M monomials in 40 variables
+        before = monomials_of_degree.cache_info().currsize
+        assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
+        assert monomials_of_degree.cache_info().currsize == before
 
 
 class TestDecomposeAndRefute:
@@ -416,6 +428,20 @@ _ARGVS = st.one_of(
         st.sampled_from([f.value for f in SequenceFilter]),
         st.sampled_from([(), ("--count-only",)])),
 )
+
+
+# most _HVECTOR_TEXT draws are malformed; these start with 1 and about half realize
+_LEADING_ONE_TEXT = st.lists(st.integers(0, 12), max_size=6).map(lambda xs: ",".join(map(str, [1, *xs])))
+
+
+@given(st.one_of(_HVECTOR_TEXT, _LEADING_ONE_TEXT))
+def test_socle_exits_as_realize_does_and_prints_the_probed_socle(text):
+    code, out, err = outcome(("socle", "--", text))  # "--", so that "-1,2" is no flag
+    assert (code, err) == outcome(("realize", "--", text))[::2]
+    if code == 0:
+        table = lex_segment_realization(cli._parse_hvector(text))
+        probed = socle_vector(SurvivorTable(table.num_variables, tuple(table.per_degree)))
+        assert out == f"{probed}\n"
 
 
 @given(_ARGVS)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bruteforce import (
     exponent_vectors,
     naive_bound,
+    naive_last_variable_multiples,
     naive_lex_realization,
     naive_max_growth,
     naive_socle,
@@ -28,6 +29,7 @@ from hvectors import (
     is_si_sequence,
     is_symmetric,
     lex_segment_realization,
+    lex_socle_vector,
     macaulay_bound,
     max_growth_bruteforce,
     monomials_of_degree,
@@ -35,7 +37,7 @@ from hvectors import (
     render_monomial,
     socle_vector,
 )
-from hvectors.monomials import _lex_rank
+from hvectors.monomials import _last_variable_multiples
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
 NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
@@ -55,12 +57,6 @@ class TestMonomialBasics:
         for r in range(7):
             for d in range(7):
                 assert list(monomials_of_degree(r, d)) == exponent_vectors(r, d)[::-1], (r, d)
-
-    def test_lex_rank_is_the_position_in_the_naive_ascending_order(self):
-        for r in range(7):
-            for d in range(7):
-                for position, m in enumerate(exponent_vectors(r, d)):
-                    assert _lex_rank(m) == position, m
 
     def test_divisors(self):
         assert divisors((2, 0, 1)) == ((1, 0, 1), (2, 0, 0))
@@ -288,7 +284,7 @@ def random_o_sequence(rng, r, e):
 
 
 class TestMarkedLevels:
-    def test_bisection_matches_the_probe_loop_on_every_workload_shape(self):
+    def test_closed_form_matches_the_probe_loop_on_every_workload_shape(self):
         rng = random.Random(1103)
         for r in range(3, 21):
             for e in range(2, 6):
@@ -339,6 +335,39 @@ class TestMarkedLevels:
             for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
                 assert clone == table
                 assert socle_vector(clone) == expected
+
+
+class TestClosedForm:
+    def test_last_variable_multiples_match_the_naive_segment(self):
+        for r in range(1, 7):
+            for d in range(1, 6):
+                for size in range(1, binom(r + d - 1, d) + 1):
+                    expected = len(naive_last_variable_multiples(r, d, size))
+                    assert _last_variable_multiples(size, d) == expected, (r, d, size)
+
+    def test_lex_socle_vector_matches_the_probe_loop_and_its_failures(self):
+        rng = random.Random(1108)
+        for r in range(1, 9):
+            for e in range(1, 7):
+                for _ in range(8):
+                    h = random_o_sequence(rng, r, e)
+                    assert lex_socle_vector(h) == socle_vector(plain(lex_segment_realization(h))), h
+                    if e == 1:
+                        continue
+                    # one past the growth bound at the top degree
+                    spoiled = HVector(h.entries[:-1] + (macaulay_bound(h[e - 1], e - 1) + 1,))
+                    with pytest.raises(NotAnOSequenceError) as realized:
+                        lex_segment_realization(spoiled)
+                    with pytest.raises(NotAnOSequenceError) as closed:
+                        lex_socle_vector(spoiled)
+                    assert closed.value.degree == e
+                    assert str(closed.value) == str(realized.value), spoiled
+
+    def test_full_levels_are_the_cached_tuples(self):
+        table = lex_segment_realization(HVector((1, 3, 6, 4)))
+        assert table.per_degree[1] is monomials_of_degree(3, 1)
+        assert table.per_degree[2] is monomials_of_degree(3, 2)
+        assert table.per_degree[3] == monomials_of_degree(3, 3)[-4:]
 
 
 class TestMaxGrowth:
