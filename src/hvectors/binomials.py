@@ -32,11 +32,12 @@ class BinomialExpansion(NamedTuple):
         return " + ".join(f"C({t},{b})" for t, b in self.terms)
 
 
-def _largest_top(remaining: int, bottom: int) -> int:
-    """Largest t with C(t, bottom) <= remaining, found by galloping then bisecting."""
-    high = bottom + 1
-    while comb(high, bottom) <= remaining:
-        high *= 2
+def _largest_top(remaining: int, bottom: int, high: int) -> int:
+    """Largest t < high with C(t, bottom) <= remaining, by bisection; C(high, bottom) > remaining.
+
+    After a term (t, j), what is left is below C(t + 1, j) - C(t, j) = C(t, j - 1),
+    so the next top lies in [j - 1, t): each top bounds the search for the next.
+    """
     low = bottom  # C(bottom, bottom) = 1 <= remaining
     while high - low > 1:
         mid = (low + high) // 2
@@ -54,8 +55,11 @@ def expand(n: int, i: int) -> BinomialExpansion:
     terms: list[tuple[int, int]] = []
     remaining = n
     bottom = i
+    top = i + 1  # the first top has no earlier one above it, so gallop up to a bound
+    while comb(top, i) <= n:
+        top *= 2
     while remaining > 0:
-        top = _largest_top(remaining, bottom)
+        top = _largest_top(remaining, bottom, top)
         terms.append((top, bottom))
         remaining -= comb(top, bottom)
         bottom -= 1

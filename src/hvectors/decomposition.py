@@ -6,22 +6,24 @@ j, ..., e so that the remainder is again a legal growth sequence.  For
 codimension-3 symmetric vectors, existence of such a decomposition with
 pivot 1 forces unimodality and the concavity inequalities verified below;
 exhaustive absence of one certifies that a symmetric non-SI vector cannot
-be Gorenstein.  Both searches walk the subtrahend's first half in lex
-order and drop a first half as soon as a residual growth step it fixes
-breaks, at either end of the residual.  Decompose returns the lex-first
-subtrahend whose residual obeys growth; refute certifies that none does
-by listing every dropped first half with the degree of its broken step,
-and every full candidate that reached the end of the walk.
+be Gorenstein.  Both searches hand h to the one growth walker, which
+builds the subtrahend's first half in lex order and itself tests the
+residual step at either end that each half fixes, dropping a half as soon
+as one breaks.  Decompose returns the lex-first subtrahend whose residual
+obeys growth; refute certifies that none does by listing every dropped
+first half with the degree of its broken step, and every full candidate
+that reached the end of the walk.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
 from .binomials import binom, macaulay_bound
-from .enumeration import differentiable_prefixes, mirror
+from .enumeration import _grow, mirror
 from .monomials import InfeasibleSearchError
 from .sequences import (
     HVector,
@@ -106,7 +108,9 @@ class RefutationReport(NamedTuple):
 
 
 def _subtrahends(
-    h: HVector, pivot: int, on_dead: Callable[[tuple[int, ...], int], None] | None = None
+    h: HVector,
+    pivot: int,
+    on_dead: Callable[[tuple[int, ...], int], None] = lambda half, degree: None,
 ) -> Iterator[tuple[int, ...]]:
     """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h, minus those of dead first halves.
 
@@ -117,42 +121,33 @@ def _subtrahends(
     exhaustive in that regime.  A first half never decreases, so each
     a_k is capped by the smallest cap from k on; then every prefix the
     walk builds extends to a candidate.  Candidates come in ascending
-    lexicographic order.  A first half of length k fixes the residual at
-    degrees pivot..pivot+k-1 and at their mirror images, so it dies, with
-    all of its extensions, as soon as the front step ending at degree
-    pivot+k-1 or the mirror step ending at degree pivot+socle-k+2 breaks
-    growth.  `keep` tests each half before the walk descends into it, and
-    `on_dead(half, degree)` hears of each dead one, with that end degree.
-    The steps no half fixes alone (before the pivot, and the middle step
-    of an odd socle) are left to the caller's check of each candidate.
+    lexicographic order.  The walker tests the residual itself, and
+    `on_dead(half, degree)` hears of each first half it drops, with the
+    end degree of the residual step the half breaks.  The steps no half
+    fixes alone (before the pivot, and the middle step of an odd socle)
+    are left to the caller's check of each candidate.
     """
     values = h.entries
-    socle = h.socle_degree - pivot
+    socle = len(values) - 1 - pivot
+    if socle <= 1:  # the only first half is (1,), with no step of its own
+        return iter((mirror((1,), socle),))
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]; k runs socle//2..0
     fronts, mirrors = values[pivot + socle // 2 : pivot - 1 : -1], values[-1 - socle // 2 :]
-    caps = list(accumulate(map(min, fronts, mirrors), min))[::-1]
-
-    def keep(half: tuple[int, ...]) -> bool:
-        # front step: residual degrees d-1, d lose a_{k-2}, a_{k-1}; the mirror step swaps them
-        d = pivot + len(half) - 1
-        if values[d] - half[-1] <= macaulay_bound(values[d - 1] - half[-2], d - 1):
-            d = pivot + socle - len(half) + 2
-            if values[d] - half[-2] <= macaulay_bound(values[d - 1] - half[-1], d - 1):
-                return True
-        if on_dead is not None:
-            on_dead(half, d)
-        return False
-
-    # the walk stops past caps[1]; max(caps) also covers socle 0, where caps has one entry
-    for half in differentiable_prefixes(range(1, max(caps) + 1), caps, keep):
-        yield mirror(half, socle)
+    caps = []
+    cap = fronts[0]
+    for front, back in zip(fronts, mirrors):  # a running minimum; min() calls cost more
+        if front < cap:
+            cap = front
+        if back < cap:
+            cap = back
+        caps.append(cap)
+    caps.reverse()
+    halves = _grow(range(1, caps[1] + 1), caps, 0, True, (values, pivot, socle), on_dead)
+    return map(mirror, halves, repeat(socle))
 
 
 def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int, ...]:
-    values = list(h.entries)
-    for k, a in enumerate(subtrahend):
-        values[pivot + k] -= a
-    return tuple(values)
+    return h.entries[:pivot] + tuple(map(sub, h.entries[pivot:], subtrahend))
 
 
 def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition | None:
@@ -193,9 +188,10 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError(
             f"refutation needs codimension 3, got {h.codimension}"
         )
-    if h.entries != h.entries[::-1]:
+    values = h.entries
+    if values != values[::-1]:
         raise PreconditionViolatedError("refutation needs a symmetric input")
-    if is_differentiable(h.entries[: h.socle_degree // 2 + 1]):  # the SI test, given symmetry
+    if is_differentiable(values[: (len(values) + 1) // 2]):  # the SI test, given symmetry
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     refuted = []
     survivors = []
@@ -205,24 +201,16 @@ def refute_non_si(h: HVector) -> RefutationReport:
             raise InfeasibleSearchError(
                 f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
             )
-        refuted.append(RefutedCandidate(entry, degree))
+        # tuple.__new__ builds the entry at C level, past the NamedTuple's Python __new__
+        refuted.append(tuple.__new__(RefutedCandidate, (entry, degree)))
 
     for subtrahend in _subtrahends(h, 1, refute):
-        violation = _first_residual_violation(_residual(h, 1, subtrahend))
-        if violation is None:
+        step = o_sequence_violation(_residual(h, 1, subtrahend))  # the caps keep it non-negative
+        if step is None:
             survivors.append(subtrahend)
         else:
-            refute(subtrahend, violation)
-    return RefutationReport(h=h, refuted=tuple(refuted), survivors=tuple(survivors))
-
-
-def _first_residual_violation(residual: tuple[int, ...]) -> int | None:
-    """End degree of the residual's first illegal growth step, None when all growth is legal.
-
-    The caps keep every residual entry non-negative.
-    """
-    step = o_sequence_violation(residual)
-    return None if step is None else step + 1
+            refute(subtrahend, step + 1)  # the end degree of the residual's first illegal step
+    return tuple.__new__(RefutationReport, (h, tuple(refuted), tuple(survivors)))
 
 
 def verify_decomposition_traces(

@@ -43,52 +43,47 @@ class EnumerationSpec(_Box):
         return self
 
 
-def differentiable_prefixes(
-    codimensions: range,
-    caps: Sequence[int],
-    keep: Callable[[tuple[int, ...]], bool] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Prefixes (1, r, h_2, ...) of length len(caps) whose first difference obeys growth.
-
-    r runs over the given ascending codimensions and, like every h_k, stays
-    within caps[k].
-    Extensions are driven by the bound on the difference sequence, so
-    everything constructed is differentiable.  `keep` runs on each prefix
-    (1, r, ...) before the walk descends into it, in walk order, and a prefix
-    it rejects is dropped together with all of its extensions.  Yields in ascending
-    entry order, which is lexicographic order of the output.
-    """
-    if len(caps) == 1:
-        return iter(((1,),))
-    first = range(codimensions.start, min(codimensions.stop, caps[1] + 1), codimensions.step)
-    return _grow(first, caps, keep, 0, True)
-
-
 def _grow(
     first: Iterable[int],
     caps: Sequence[int],
-    keep: Callable[[tuple[int, ...]], bool] | None,
     low: int,
     cumulative: bool,
+    residual: tuple[Sequence[int], int, int] | None = None,
+    on_dead: Callable[[tuple[int, ...], int], None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Sequences (1, h_1, ..., h_n), n = len(caps) - 1 >= 1, grown degree by degree in lex order.
 
     h_1 runs over `first`.  Each later degree d adds a growth entry g_d,
     which is h_d - h_{d-1} when cumulative and h_d itself otherwise; g_d
     runs from low up to macaulay_bound(g_{d-1}, d-1), and h_d stays within
-    caps[d].  `keep` sees each child, in walk order, before the walk
-    descends into it, and a child it rejects is dropped with all of its
-    extensions.  One mutable path and a stack of the values left at each
-    open degree stand in for recursion, so the walk has no depth limit.
+    caps[d].  One mutable path and a stack of the values left at each open
+    degree stand in for recursion, so the walk has no depth limit.
+
+    With `residual` = (h, pivot, socle), a child (1, a_1, ..., a_{k-1}) is
+    the first half of a subtrahend a = (a_0, ..., a_socle), a_j = a_{socle-j},
+    and fixes the residual h - a (a shifted to the pivot) at degrees
+    pivot..pivot+k-1 and their mirror images.  Before descending into it the
+    walk checks the front step ending at degree pivot+k-1, then the mirror
+    step ending at pivot+socle-k+2; a child that breaks one goes to
+    `on_dead(child, that degree)` and is dropped with all of its extensions.
     """
+    values, pivot, socle = residual or ((), 0, 0)
     path = [1, 0]
     stack = [iter(first)]
     while stack:
         for value in stack[-1]:
             path[-1] = value
-            if keep is not None and not keep(tuple(path)):
-                continue
             d = len(path)
+            if residual is not None:
+                # front step: residual degrees f-1, f lose path[-2], value; the mirror swaps them
+                f = pivot + d - 1
+                if values[f] - value > macaulay_bound(values[f - 1] - path[-2], f - 1):
+                    on_dead(tuple(path), f)
+                    continue
+                f = pivot + socle - d + 2
+                if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
+                    on_dead(tuple(path), f)
+                    continue
             if d == len(caps):
                 yield tuple(path)
                 continue
@@ -133,14 +128,15 @@ def _non_si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[
 
 
 def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    return differentiable_prefixes(range(codimension, codimension + 1), (cap,) * length)
+    # every prefix the walk builds on first differences is differentiable
+    return _grow((codimension,), (cap,) * length, 0, True)
 
 
 def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
     if spec.socle_degree == 0:
         return
     caps = (spec.entry_cap,) * (spec.socle_degree + 1)
-    yield from map(HVector, _grow((spec.codimension,), caps, None, 1, False))
+    yield from map(HVector, _grow((spec.codimension,), caps, 1, False))
 
 
 def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:

@@ -101,6 +101,11 @@ def o_sequence_violation(seq: Sequence[int]) -> int | None:
         raise ValueError("growth check needs a sequence starting with 1")
     if min(entries) < 0:
         raise ValueError("growth check needs non-negative entries")
+    return _growth_violation(entries)
+
+
+def _growth_violation(entries: Sequence[int]) -> int | None:
+    """o_sequence_violation of entries already known to be non-negative and to start with 1."""
     entries = strip_trailing_zeros(entries)
     for d in range(1, len(entries) - 1):
         if entries[d + 1] > macaulay_bound(entries[d], d):
@@ -122,10 +127,16 @@ def first_difference(seq: Sequence[int]) -> tuple[int, ...]:
 
 def differentiability_violation(seq: Sequence[int]) -> int | None:
     """Degree at which the first difference stops being a legal growth sequence."""
-    diff = first_difference(seq)
-    if min(diff) < 0:
-        return next(degree for degree, value in enumerate(diff) if value < 0)
-    return o_sequence_violation(diff)
+    entries = tuple(seq)
+    if not entries or entries[0] != 1:
+        raise ValueError("first difference needs a sequence starting with 1")
+    steps = [1]
+    for degree in range(1, len(entries)):
+        step = entries[degree] - entries[degree - 1]
+        if step < 0:
+            return degree
+        steps.append(step)
+    return _growth_violation(steps)
 
 
 def is_differentiable(seq: Sequence[int]) -> bool:

@@ -85,12 +85,29 @@ def naive_bound(n: int, i: int) -> int:
     return sum(pascal_binom(t + 1, b + 1) for t, b in terms)
 
 
-def naive_obeys_growth(seq: Sequence[int]) -> bool:
-    """Every step from degree d >= 1 respects naive_bound; a zero tail is ignored."""
+def naive_growth_violation(seq: Sequence[int]) -> int | None:
+    """First degree d >= 1 whose step breaks naive_bound, a zero tail ignored; None if none does."""
     values = list(seq)
     while values and values[-1] == 0:
         values.pop()
-    return all(values[d + 1] <= naive_bound(values[d], d) for d in range(1, len(values) - 1))
+    for d in range(1, len(values) - 1):
+        if values[d + 1] > naive_bound(values[d], d):
+            return d
+    return None
+
+
+def naive_obeys_growth(seq: Sequence[int]) -> bool:
+    """Every step from degree d >= 1 respects naive_bound; a zero tail is ignored."""
+    return naive_growth_violation(seq) is None
+
+
+def naive_differentiability_violation(seq: Sequence[int]) -> int | None:
+    """First degree where the first difference goes negative, else where it breaks growth."""
+    diff = [1] + [seq[k] - seq[k - 1] for k in range(1, len(seq))]
+    for d, step in enumerate(diff):
+        if step < 0:
+            return d
+    return naive_growth_violation(diff)
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,10 @@ from bruteforce import (
 from hvectors import (
     EnumerationSpec,
     HVector,
+    InfeasibleSearchError,
     PivotDecomposition,
     PreconditionViolatedError,
+    RefutedCandidate,
     SequenceFilter,
     TraceCase,
     UnsupportedCodimensionError,
@@ -31,6 +33,7 @@ from hvectors import (
     refute_non_si,
     verify_decomposition_traces,
 )
+from hvectors import decomposition
 from hvectors.cli import main
 from hvectors.decomposition import _residual, _subtrahends
 from hvectors.enumeration import mirror
@@ -239,6 +242,22 @@ class TestRefute:
     def test_asymmetric_input_is_a_precondition_violation(self):
         with pytest.raises(PreconditionViolatedError):
             refute_non_si(HVector((1, 3, 4, 4)))
+
+    @pytest.mark.parametrize("entries", [
+        (1, 3, 1, 3, 1),  # one full candidate
+        (1, 3, 5, 4, 5, 3, 1),  # a dead root, then full candidates
+        (1, 3, 6, 6, 5, 6, 6, 3, 1),  # dead halves and full candidates interleaved
+        (1, 3, 6, 10, 9, 10, 6, 3, 1),  # dead roots and dead halves of length 3 come first
+    ])
+    def test_budget_is_the_last_entry_a_certificate_may_list(self, entries, monkeypatch):
+        h = HVector(entries)
+        report = refute_non_si(h)
+        assert all(type(entry) is RefutedCandidate for entry in report.refuted)
+        monkeypatch.setattr(decomposition, "REFUTE_CANDIDATE_BUDGET", report.candidate_count)
+        assert refute_non_si(h) == report
+        monkeypatch.setattr(decomposition, "REFUTE_CANDIDATE_BUDGET", report.candidate_count - 1)
+        with pytest.raises(InfeasibleSearchError):
+            refute_non_si(h)
 
     def test_searches_leave_no_cyclic_garbage(self):
         # reference counting alone frees what a search built, so the collector has nothing to do

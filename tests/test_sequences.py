@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bruteforce import naive_hvector
+from bruteforce import naive_differentiability_violation, naive_growth_violation, naive_hvector
 
 from hvectors import (
     HVector,
@@ -174,6 +174,30 @@ class TestDifferentiable:
     def test_internal_zero_of_difference_is_rejected(self):
         # difference (1, 2, 0, 1) regrows after vanishing
         assert differentiability_violation((1, 3, 3, 4)) == 2
+
+
+@st.composite
+def _starting_with_one(draw):
+    """(1, ...) with dips, internal zeros, a plateau (zeros of the first difference), zero tail."""
+    values = [1] + draw(st.lists(st.integers(0, 12), max_size=7))
+    values += [values[-1]] * draw(st.integers(0, 2))
+    return tuple(values + [0] * draw(st.integers(0, 2)))
+
+
+class TestPredicatesAgainstTheNaiveOracle:
+    @given(_starting_with_one())
+    @example((1, 3, 3, 4))  # the difference regrows after vanishing
+    @example((1, 2, 0, 1))  # an internal zero regrows
+    def test_violation_degrees_match(self, seq):
+        assert o_sequence_violation(seq) == naive_growth_violation(seq)
+        assert differentiability_violation(seq) == naive_differentiability_violation(seq)
+
+    @given(st.lists(st.integers(-3, 12), max_size=6).filter(lambda values: values[:1] != [1]))
+    def test_a_sequence_not_starting_with_one_is_refused(self, values):
+        with pytest.raises(ValueError):
+            o_sequence_violation(values)
+        with pytest.raises(ValueError):
+            differentiability_violation(values)
 
 
 class TestShapePredicates:
