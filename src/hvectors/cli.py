@@ -7,6 +7,13 @@ Exit codes: 0 success (SI / Gorenstein / clean search), 1 negative result
 growth trace, i.e. an implementation bug), 5 budget exceeded (a search
 that would run past its fixed budget, or memory ran out; a
 RecursionError maps to 5 too, as a guard).
+
+`main` makes one argparse pass: when argv[0] names a command, that
+command's subparser reads the rest, and leftovers are reported by the
+top-level parser, as the full parser reports them; any other argv goes
+through the full parser.  Canonical h-vector text (signed ASCII integers
+joined by bare commas) is read with one regular expression; other text is
+read entry by entry, so that the error names the bad entry.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .sequences import (
     differentiability_violation,
     first_half,
     o_sequence_violation,
-    si_violations,
     strip_trailing_zeros,
     symmetry_violation,
     unimodality_violation,
@@ -63,6 +69,8 @@ EXIT_IMPOSSIBLE = 4
 EXIT_BUDGET = 5
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# canonical h-vector text: such integers joined by bare commas, no whitespace
+_CANONICAL_HVECTOR = re.compile(rf"{_INTEGER.pattern}(?:,{_INTEGER.pattern})*")
 
 # Checked in order: NotAnOSequenceError is a ValueError, so it must come first.
 # The ValueError row also covers UnsupportedCodimensionError,
@@ -92,6 +100,9 @@ def _integer_flag(text: str) -> int:
 
 
 def _parse_hvector(text: str) -> HVector:
+    if _CANONICAL_HVECTOR.fullmatch(text):
+        return HVector(map(int, text.split(",")))
+    # whitespace or a malformed entry: token by token, so that the error names it
     values = []
     for token in (t.strip() for t in text.split(",")):
         if not token:
@@ -101,7 +112,7 @@ def _parse_hvector(text: str) -> HVector:
 
 
 def _render_entries(entries: Sequence[int]) -> str:
-    return ",".join(str(x) for x in entries)
+    return ",".join(map(str, entries))
 
 
 def _verdict_line(name: str, violation: int | None) -> str:
@@ -119,14 +130,23 @@ def _predicate_violations(h: HVector) -> dict[str, int | None]:
     }
 
 
-def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION) -> str:
+def _is_si(violations: dict[str, int | None]) -> bool:
+    """An SI-sequence is symmetric with a differentiable first half."""
+    return violations["symmetric"] is None and violations["first_half_differentiable"] is None
+
+
+def _json_report(
+    h: HVector, certificate, version: str = SCHEMA_VERSION, violations=None
+) -> str:
     import json  # here, not at the top, so that only --json pays for loading it
 
+    if violations is None:
+        violations = _predicate_violations(h)
     verdicts = {
         name: {"holds": violation is None, "first_violation": violation}
-        for name, violation in _predicate_violations(h).items()
+        for name, violation in violations.items()
     }
-    verdicts["si_sequence"] = {"holds": not si_violations(h.entries), "first_violation": None}
+    verdicts["si_sequence"] = {"holds": _is_si(violations), "first_violation": None}
     payload = {
         "input": list(h.entries),
         "verdicts": verdicts,
@@ -147,12 +167,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(h: HVector, args: argparse.Namespace) -> int:
-    si = not si_violations(h.entries)
+    violations = _predicate_violations(h)
+    si = _is_si(violations)
     if args.json:
-        print(_json_report(h, certificate=None))
+        print(_json_report(h, certificate=None, violations=violations))
     else:
         print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
-        for name, violation in _predicate_violations(h).items():
+        for name, violation in violations.items():
             print(_verdict_line(name, violation))
         print(f"si_sequence: {'true' if si else 'false'}")
     return EXIT_OK if si else EXIT_NEGATIVE
@@ -312,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The `hvec` parser, built on first use and shared by every later `main` call.
 
     Sharing is safe: each `parse_args` call fills a fresh namespace, and
-    no flag has a mutable default.
+    no flag has a mutable default.  Its `commands` attribute maps each
+    command name to that command's subparser.
     """
     parser = argparse.ArgumentParser(
         prog="hvec",
@@ -324,11 +346,29 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in flags:
             subparser.add_argument(flag, **keywords)
         subparser.set_defaults(func=handler)
+    parser.commands = subparsers.choices
     return parser
 
 
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` gives, in one argparse pass when argv[0] is a command.
+
+    The top-level pass would only find the subcommand and hand it the rest;
+    leftovers are reported by the top-level parser, as that pass reports them.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if "hvector" in args:
             return args.func(_parse_hvector(args.hvector), args)

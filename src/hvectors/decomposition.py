@@ -241,15 +241,14 @@ def verify_decomposition_traces(
         if seen_subgeneric is None and stripped[d] < d + 1:
             seen_subgeneric = d
 
-    def a(i: int) -> int:
-        return subtrahend[i - 1]
-
+    h = h.entries  # indexing the tuple skips HVector.__getitem__
+    a = subtrahend[-1:] + subtrahend  # a[i] = subtrahend[i - 1], for i = 0 too
     traces = []
     for i in range(1, e // 2 + 1):
         if h[i] >= binom(i + 2, 2):
             continue
         delta_prev = residual[i - 1]
-        if a(i) == binom(i + 1, 2):
+        if a[i] == binom(i + 1, 2):
             case = TraceCase.SUBTRAHEND_GENERIC
         elif delta_prev == i:
             case = TraceCase.RESIDUAL_STEP_GENERIC
@@ -259,8 +258,8 @@ def verify_decomposition_traces(
             raise TraceViolationError(i, "(residual-generic-cap)", delta_prev, i)
         checks = [InequalityCheck("(1)", h[i] - h[i - 1], h[i - 1] - h[i - 2])]
         if case is TraceCase.RESIDUAL_STEP_SMALL:
-            checks.append(InequalityCheck("(2)", a(i) - a(i - 1), h[i - 1] - h[i - 2]))
-            checks.append(InequalityCheck("(3)", h[i] - h[i - 1], a(i) - a(i - 1)))
+            checks.append(InequalityCheck("(2)", a[i] - a[i - 1], h[i - 1] - h[i - 2]))
+            checks.append(InequalityCheck("(3)", h[i] - h[i - 1], a[i] - a[i - 1]))
         for check in checks:
             if not check.holds:
                 raise TraceViolationError(i, check.label, check.lhs, check.rhs)

@@ -20,7 +20,8 @@ def strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
 class HVector:
     """Graded dimension vector (h_0, ..., h_e) with h_0 = 1 and h_e > 0.
 
-    Every entry must be an int (bool is not accepted).  Trailing zeros are
+    Every entry must be an int (bool is not accepted); an int subclass such
+    as an IntEnum member is kept as the plain int.  Trailing zeros are
     stripped on construction so the socle degree e is well defined;
     internal zeros are rejected because no later degree can be positive
     once one vanishes.  Immutable, and equal only to another HVector with
@@ -36,7 +37,7 @@ class HVector:
             for degree, value in enumerate(entries):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"entry {value!r} at degree {degree} is not an integer")
-            entries = strip_trailing_zeros(entries)
+            entries = strip_trailing_zeros(map(int, entries))  # an int subclass becomes an int
             if not entries:
                 raise ValueError("h-vector has no positive entry")
             if entries[0] != 1:
@@ -86,7 +87,7 @@ class HVector:
         return self.entries[index]
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.entries)
+        return ",".join(map(str, self.entries))
 
 
 def o_sequence_violation(seq: Sequence[int]) -> int | None:

@@ -56,7 +56,7 @@ def naive_hvector(values: Sequence) -> tuple[tuple | None, str | None]:
     """What HVector keeps of the values, or the message refusing them, by its definition.
 
     Every value must be an int and not a bool; trailing zeros go; what is
-    left must start with 1 and have no entry below 1.
+    left must start with 1 and have no entry below 1, and is kept as plain ints.
     """
     for degree, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -73,7 +73,25 @@ def naive_hvector(values: Sequence) -> tuple[tuple | None, str | None]:
             return None, f"negative entry {value} at degree {degree}"
         if value == 0:
             return None, f"internal zero at degree {degree}"
-    return tuple(kept), None
+    return tuple(int(value) for value in kept), None
+
+
+def naive_parse_hvector(text: str) -> tuple[tuple | None, str | None]:
+    """The entries `hvec` reads from text, or the message refusing it, by its definition.
+
+    The text splits at commas; each entry, stripped of whitespace, is ASCII
+    digits after at most one sign; the values must then pass naive_hvector.
+    """
+    values = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            return None, f"empty entry in {text!r}"
+        digits = token[1:] if token[0] in "+-" else token
+        if not digits or any(c not in "0123456789" for c in digits):
+            return None, f"not an integer: {token!r}"
+        values.append(int(token))
+    return naive_hvector(values)
 
 
 @lru_cache(maxsize=None)

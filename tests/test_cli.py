@@ -1,15 +1,17 @@
 import io
 import json
+import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import naive_refutes
+from bruteforce import naive_parse_hvector, naive_refutes
 from hvectors import cli, decomposition
 from hvectors.cli import build_parser, main
 from hvectors.enumeration import SequenceFilter
@@ -42,7 +44,7 @@ def outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = main(None if argv is None else list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -409,6 +411,56 @@ def test_parser_reuse_carries_no_state_between_calls():
     assert forward[sequence[4]][0] == 2
     assert forward[sequence[5]][0] == 0
     assert forward[sequence[5]][1].startswith("usage: hvec refute")
+
+
+# argvs where a parse pass that starts at the subcommand could part from the full parser
+_PARITY_CORPUS = [
+    (), ("-h",), ("--help",), ("frobnicate", "1,2,1"), ("--json", "check", "1,2,1"),
+    *((command, "--help") for command in cli._COMMANDS),
+    ("check",), ("expand", "4"), ("decompose", "--pivot", "2"),
+    ("enumerate", "--degree", "2"), ("enumerate", "--codim", "3", "--count-only"),
+    ("enumerate", "--degree", "2", "--codim", "3", "--filter", "bogus"),
+    ("enumerate", "--degree", "2", "--codim", "3", "--filter", "SI"),
+    ("decompose", "1,3,4,3,1", "--piv", "2"), ("decompose", "1,3,4,3,1", "--pivot=2"),
+    ("check", "1,3,3,1", "--js"), ("check", "1,3,3,1", "--json", "--json"),
+    # leftovers: the full parser reports them as "hvec: error", not "hvec check: error"
+    ("check", "1,2,1", "extra"), ("expand", "4", "2", "9"), ("check", "--bogus", "1,2,1"),
+    ("enumerate", "--degree", "2", "--codim", "3", "x", "--y"), ("check", "1,2,1", "-h", "extra"),
+    ("socle", "--", "-1,2"), ("socle", "-1,2"), ("expand", "-1", "2"), ("check", "--", "1,3,3,1"),
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_dispatch_matches_the_full_parser(monkeypatch, argv):
+    direct = outcome(argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    assert direct == outcome(argv)
+
+
+@pytest.mark.parametrize("argv", [("check", "1,2,1", "extra"), ("check", "1,3,3,1"), ()])
+def test_main_without_argv_reads_sys_argv(monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["hvec", *argv])
+    assert outcome(None) == outcome(argv)
+
+
+_PADDED_TOKEN = st.builds(
+    lambda lead, sign, digits, trail: lead + sign + digits + trail,
+    st.sampled_from(["", "", " ", "\x1c"]), st.sampled_from(["", "", "+", "-"]),
+    st.one_of(st.integers(0, 30).map(str), st.sampled_from(["", "007", "1_0", "\u0663"])),
+    st.sampled_from(["", "", " ", "\x1c"]),
+)
+
+
+@given(st.one_of(st.text("0123456789+-,_\u0663 \x1c", max_size=12),
+                 st.lists(_PADDED_TOKEN, min_size=1, max_size=6).map(",".join)))
+@example("1,3,\x1c3,1")  # \x1c is whitespace to str.strip and \s, but int() refuses "\x1c3"
+def test_parse_hvector_reads_what_the_naive_rule_reads(text):
+    kept, message = naive_parse_hvector(text)
+    if message is None:
+        assert cli._parse_hvector(text).entries == kept
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._parse_hvector(text)
 
 
 _HVECTOR_TEXT = st.lists(st.integers(-1, 12), max_size=7).map(lambda xs: ",".join(map(str, xs)))

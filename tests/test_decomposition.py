@@ -192,6 +192,23 @@ class TestTraces:
         cases = {trace.degree: trace.case for trace in traces}
         assert cases[2] == TraceCase.SUBTRAHEND_GENERIC
 
+    def test_traces_keep_their_frozen_values(self):
+        # SHA-256 of the traces of the canonical pivot-1 decomposition of every SI vector on
+        # the e <= 10, cap-25 codimension-3 box, frozen before the trace loop was rewritten
+        digest = hashlib.sha256()
+        checked = 0
+        for e in range(2, 11):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                if is_si_sequence(h):
+                    hv = HVector(h)
+                    traces = verify_decomposition_traces(hv, find_pivot_decomposition(hv, 1))
+                    digest.update(repr((h, traces)).encode() + b"\n")
+                    checked += 1
+        assert checked == 141
+        assert digest.hexdigest() == (
+            "4a396196eee82488120d61ec2f5c916507ea3da93bc87efa6e9e591e73e6d651"
+        )
+
     def test_rejects_foreign_residual(self):
         h = HVector((1, 3, 4, 3, 1))
         with pytest.raises(PreconditionViolatedError):
