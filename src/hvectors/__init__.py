@@ -7,119 +7,53 @@ codimension <= 3, monomial-quotient oracles (lex-segment realizations,
 socle vectors, brute-force maximal growth), pivot decompositions with
 growth-trace verification, and deterministic enumeration of h-vector
 families.
+
+Importing the package loads none of its modules: the first use of a public
+name (PEP 562) imports the module that defines it, once, and binds the name
+here, so later lookups are plain attribute reads.
 """
 
-from .binomials import BinomialExpansion, binom, expand, macaulay_bound
-from .decomposition import (
-    DegreeTrace,
-    InequalityCheck,
-    PivotDecomposition,
-    PreconditionViolatedError,
-    RefutationReport,
-    RefutedCandidate,
-    TraceCase,
-    TraceViolationError,
-    UnsupportedCodimensionError,
-    find_pivot_decomposition,
-    refute_non_si,
-    verify_decomposition_traces,
-)
-from .enumeration import (
-    EnumerationSpec,
-    SequenceFilter,
-    count_by_degree,
-    enumerate_hvectors,
-)
-from .monomials import (
-    InfeasibleSearchError,
-    Monomial,
-    NotAnOSequenceError,
-    SocleVector,
-    SurvivorTable,
-    complete_intersection_hvector,
-    complete_intersection_table,
-    divisors,
-    hilbert_function,
-    lex_segment_realization,
-    lex_socle_vector,
-    max_growth_bruteforce,
-    monomials_of_degree,
-    render_monomial,
-    socle_vector,
-)
-from .sequences import (
-    ClassificationReport,
-    HVector,
-    Reason,
-    ReasonKind,
-    Verdict,
-    classify_gorenstein,
-    differentiability_violation,
-    first_difference,
-    first_half,
-    is_differentiable,
-    is_o_sequence,
-    is_si_sequence,
-    is_symmetric,
-    is_unimodal,
-    o_sequence_violation,
-    si_violations,
-    symmetry_violation,
-    unimodality_violation,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "BinomialExpansion",
-    "ClassificationReport",
-    "DegreeTrace",
-    "EnumerationSpec",
-    "HVector",
-    "InequalityCheck",
-    "InfeasibleSearchError",
-    "Monomial",
-    "NotAnOSequenceError",
-    "PivotDecomposition",
-    "PreconditionViolatedError",
-    "Reason",
-    "ReasonKind",
-    "RefutationReport",
-    "RefutedCandidate",
-    "SequenceFilter",
-    "SocleVector",
-    "SurvivorTable",
-    "TraceCase",
-    "TraceViolationError",
-    "UnsupportedCodimensionError",
-    "Verdict",
-    "binom",
-    "classify_gorenstein",
-    "complete_intersection_hvector",
-    "complete_intersection_table",
-    "count_by_degree",
-    "differentiability_violation",
-    "divisors",
-    "enumerate_hvectors",
-    "expand",
-    "find_pivot_decomposition",
-    "first_difference",
-    "first_half",
-    "hilbert_function",
-    "is_differentiable",
-    "is_o_sequence",
-    "is_si_sequence",
-    "is_symmetric",
-    "is_unimodal",
-    "lex_segment_realization",
-    "lex_socle_vector",
-    "macaulay_bound",
-    "max_growth_bruteforce",
-    "monomials_of_degree",
-    "o_sequence_violation",
-    "refute_non_si",
-    "render_monomial",
-    "si_violations",
-    "socle_vector",
-    "symmetry_violation",
-    "unimodality_violation",
-    "verify_decomposition_traces",
-]
+# home module: the public names it defines
+_PUBLIC = {
+    "binomials": ("BinomialExpansion", "binom", "expand", "macaulay_bound"),
+    "decomposition": (
+        "DegreeTrace", "InequalityCheck", "PivotDecomposition", "RefutationReport",
+        "RefutedCandidate", "TraceCase", "find_pivot_decomposition", "refute_non_si",
+        "verify_decomposition_traces",
+    ),
+    "enumeration": ("EnumerationSpec", "count_by_degree", "enumerate_hvectors"),
+    "errors": (
+        "InfeasibleSearchError", "NotAnOSequenceError", "PreconditionViolatedError",
+        "TraceViolationError", "UnsupportedCodimensionError",
+    ),
+    "monomials": (
+        "Monomial", "SocleVector", "SurvivorTable", "complete_intersection_hvector",
+        "complete_intersection_table", "divisors", "hilbert_function",
+        "lex_segment_realization", "lex_socle_vector", "max_growth_bruteforce",
+        "monomials_of_degree", "render_monomial", "socle_vector",
+    ),
+    "sequences": (
+        "ClassificationReport", "HVector", "Reason", "ReasonKind", "SequenceFilter", "Verdict",
+        "classify_gorenstein", "differentiability_violation", "first_difference", "first_half",
+        "is_differentiable", "is_o_sequence", "is_si_sequence", "is_symmetric", "is_unimodal",
+        "o_sequence_violation", "si_violations", "symmetry_violation", "unimodality_violation",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:  # a submodule, reachable as an attribute as when the package loaded them all
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,13 @@ top-level parser, as the full parser reports them; any other argv goes
 through the full parser.  Canonical h-vector text (signed ASCII integers
 joined by bare commas) is read with one regular expression; other text is
 read entry by entry, so that the error names the bad entry.
+
+Every command needs `sequences` (and with it `binomials`).  A handler
+reaches `monomials`, `decomposition` or `enumeration` as an attribute of
+the package, which imports each of them on first use, so that a command
+loads only the modules it runs; after that first use the lookup is a
+dictionary read, where an import statement in the handler would cost a
+few microseconds on every call.
 """
 
 from __future__ import annotations
@@ -24,28 +31,13 @@ import re
 import sys
 from typing import Sequence
 
+import hvectors
+
 from .binomials import expand
-from .decomposition import (
-    TraceViolationError,
-    find_pivot_decomposition,
-    refute_non_si,
-    verify_decomposition_traces,
-)
-from .enumeration import (
-    EnumerationSpec,
-    SequenceFilter,
-    count_by_degree,
-    enumerate_hvectors,
-)
-from .monomials import (
-    InfeasibleSearchError,
-    NotAnOSequenceError,
-    lex_segment_realization,
-    lex_socle_vector,
-    render_monomial,
-)
+from .errors import InfeasibleSearchError, NotAnOSequenceError, TraceViolationError
 from .sequences import (
     HVector,
+    SequenceFilter,
     Verdict,
     classify_gorenstein,
     differentiability_violation,
@@ -203,19 +195,20 @@ def _cmd_classify(h: HVector, args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(h: HVector, args: argparse.Namespace) -> int:
-    table = lex_segment_realization(h)
+    monomials = hvectors.monomials
+    table = monomials.lex_segment_realization(h)
     for degree, level in enumerate(table.per_degree):
-        print(f"degree {degree}: {', '.join(render_monomial(m) for m in level)}")
+        print(f"degree {degree}: {', '.join(map(monomials.render_monomial, level))}")
     return EXIT_OK
 
 
 def _cmd_socle(h: HVector, args: argparse.Namespace) -> int:
-    print(str(lex_socle_vector(h)))
+    print(str(hvectors.monomials.lex_socle_vector(h)))
     return EXIT_OK
 
 
 def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
-    decomposition = find_pivot_decomposition(h, args.pivot)
+    decomposition = hvectors.decomposition.find_pivot_decomposition(h, args.pivot)
     if decomposition is None:
         print(
             f"error: no decomposition of {h} exists at pivot {args.pivot}",
@@ -224,7 +217,7 @@ def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     traces = []
     if args.pivot == 1 and h.codimension == 3 and symmetry_violation(h.entries) is None:
-        traces = verify_decomposition_traces(h, decomposition)
+        traces = hvectors.decomposition.verify_decomposition_traces(h, decomposition)
     if args.json:
         certificate = {
             "pivot": decomposition.pivot,
@@ -257,7 +250,7 @@ def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
-    report = refute_non_si(h)
+    report = hvectors.decomposition.refute_non_si(h)
     if args.json:
         certificate = {
             "candidates": [
@@ -284,19 +277,20 @@ def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    enumeration = hvectors.enumeration
     filter_ = SequenceFilter(args.filter)
     if args.count_only:
-        counts = count_by_degree(args.codim, args.degree, args.cap, filter_)
+        counts = enumeration.count_by_degree(args.codim, args.degree, args.cap, filter_)
         for degree in sorted(counts):
             print(f'{{"degree":{degree},"count":{counts[degree]}}}')
         return EXIT_OK
-    spec = EnumerationSpec(
+    spec = enumeration.EnumerationSpec(
         socle_degree=args.degree,
         codimension=args.codim,
         entry_cap=args.cap,
         filter=filter_,
     )
-    for h in enumerate_hvectors(spec):
+    for h in enumeration.enumerate_hvectors(spec):
         print(f'{{"h":[{_render_entries(h.entries)}]}}')
     return EXIT_OK
 

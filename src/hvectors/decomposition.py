@@ -24,7 +24,12 @@ from typing import Callable, Iterator, NamedTuple
 
 from .binomials import binom, macaulay_bound
 from .enumeration import _grow, mirror
-from .monomials import InfeasibleSearchError
+from .errors import (
+    InfeasibleSearchError,
+    PreconditionViolatedError,
+    TraceViolationError,
+    UnsupportedCodimensionError,
+)
 from .sequences import (
     HVector,
     is_differentiable,
@@ -37,25 +42,6 @@ from .sequences import (
 
 # Entries a refutation certificate may list before the search gives up.
 REFUTE_CANDIDATE_BUDGET = 50_000
-
-
-class UnsupportedCodimensionError(ValueError):
-    """Decomposition search is only decidable for codimension <= 3."""
-
-
-class PreconditionViolatedError(ValueError):
-    """Input does not satisfy a refutation or verification precondition."""
-
-
-class TraceViolationError(RuntimeError):
-    """A growth trace failed; this marks a bug, never a mathematical counterexample."""
-
-    def __init__(self, degree: int, label: str, lhs: int, rhs: int) -> None:
-        self.degree = degree
-        self.label = label
-        super().__init__(
-            f"trace at degree {degree}: inequality {label} fails ({lhs} > {rhs})"
-        )
 
 
 class PivotDecomposition(NamedTuple):

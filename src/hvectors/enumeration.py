@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import filterfalse, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .binomials import macaulay_bound
-from .sequences import HVector, is_differentiable
-
-
-class SequenceFilter(Enum):
-    ALL_O_SEQUENCES = "o-sequence"
-    SYMMETRIC = "symmetric"
-    SI = "si"
-    SYMMETRIC_NOT_SI = "symmetric-not-si"
+from .sequences import HVector, SequenceFilter, is_differentiable
 
 
 # EnumerationSpec's fields; its checks need a __new__, which a NamedTuple body may not define

@@ -14,26 +14,10 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .binomials import expand, macaulay_bound
+from .errors import InfeasibleSearchError, NotAnOSequenceError
 from .sequences import HVector
 
 Monomial = tuple[int, ...]
-
-
-class NotAnOSequenceError(ValueError):
-    """Raised when a realization runs out of monomials at some degree."""
-
-    def __init__(self, degree: int, available: int, requested: int) -> None:
-        self.degree = degree
-        self.available = available
-        self.requested = requested
-        super().__init__(
-            f"NotAnOSequence({degree}): needs {requested} monomials of degree {degree}, "
-            f"only {available} available"
-        )
-
-
-class InfeasibleSearchError(RuntimeError):
-    """Raised when an exhaustive search would exceed its configured budget."""
 
 
 @lru_cache(maxsize=None)

@@ -226,6 +226,15 @@ def is_si_sequence(seq: Sequence[int]) -> bool:
     return not si_violations(seq)
 
 
+class SequenceFilter(Enum):
+    """Which h-vectors an enumeration keeps; the values are `hvec enumerate --filter` choices."""
+
+    ALL_O_SEQUENCES = "o-sequence"
+    SYMMETRIC = "symmetric"
+    SI = "si"
+    SYMMETRIC_NOT_SI = "symmetric-not-si"
+
+
 def classify_gorenstein(h: HVector) -> ClassificationReport:
     """Three-way Gorenstein verdict with machine-checkable reasons.
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import naive_parse_hvector, naive_refutes
-from hvectors import cli, decomposition
+from hvectors import cli, decomposition, monomials
 from hvectors.cli import build_parser, main
 from hvectors.enumeration import SequenceFilter
 from hvectors.monomials import (
@@ -250,7 +250,7 @@ class TestDecomposeAndRefute:
         def exhausted(h):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "lex_segment_realization", exhausted)
+        monkeypatch.setattr(monomials, "lex_segment_realization", exhausted)
         code, out, err = run(capsys, "realize", "1,3,1")
         assert (code, out) == (5, "")
         assert err == "error: MemoryError\n"
@@ -260,7 +260,7 @@ class TestDecomposeAndRefute:
         def bottomless(h, pivot):
             return bottomless(h, pivot)
 
-        monkeypatch.setattr(cli, "find_pivot_decomposition", bottomless)
+        monkeypatch.setattr(decomposition, "find_pivot_decomposition", bottomless)
         code, out, err = run(capsys, "decompose", "1,3,4,3,1")
         assert (code, out) == (5, "")
         assert err.startswith("error: maximum recursion depth exceeded")
