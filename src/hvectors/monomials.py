@@ -24,6 +24,10 @@ Monomial = tuple[int, ...]
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in the given variables, largest first.
 
+    It feeds the oracles (_divisor_masks, max_growth_bruteforce,
+    complete_intersection_table), which need whole degrees; a lex
+    realization builds only the levels it keeps, with _held_final_segment.
+
     Each monomial comes from a non-decreasing word of d variable indices,
     and combinations_with_replacement yields those words in ascending lex
     order.  Where two words first differ, the smaller one takes an earlier
@@ -107,20 +111,62 @@ def _check_growth(h: HVector) -> None:
             raise NotAnOSequenceError(degree, available, h[degree])
 
 
+# (r, d) -> the longest final lex segment of degree d in r variables built so far, largest first
+_held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
+
+
+def _held_final_segment(num_variables: int, degree: int, size: int) -> tuple[Monomial, ...]:
+    """The final lex segment held for (r, d), first extended to at least size monomials.
+
+    A held segment shorter than size grows upward from its smallest end,
+    x_r^d when none is held, one ascending lex successor at a time, and the
+    longer one is held in its place.  The successor takes the last variable
+    past the first whose exponent c is nonzero, zeroes it, and adds 1 to
+    the variable before it and c-1 to x_r: the least change that raises an
+    earlier exponent, so no monomial lies between.  Each step costs O(r);
+    size must not exceed the number of degree-d monomials.
+    """
+    held = _held_segments.get((num_variables, degree), ())
+    if len(held) < size:
+        last = num_variables - 1
+        exponents = list(held[0]) if held else [degree if v == last else 0 for v in range(num_variables)]
+        added = [] if held else [tuple(exponents)]
+        for _ in range(size - len(held) - len(added)):
+            p = last
+            while not exponents[p]:
+                p -= 1
+            c = exponents[p]
+            exponents[p] = 0
+            exponents[p - 1] += 1
+            exponents[last] += c - 1
+            added.append(tuple(exponents))
+        held = _held_segments[num_variables, degree] = (*reversed(added), *held)
+    return held
+
+
 def lex_segment_realization(h: HVector) -> SurvivorTable:
     """Realize h by keeping, in each degree, the h_d smallest monomials.
 
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
-    of size macaulay_bound(n, d-1) in degree d, so each level is the slice
-    of the last h_d monomials of its degree.  Raises for the first degree
-    that breaks Macaulay growth, before it builds any level.  per_degree
-    is a _LexLevels, so socle_vector answers from its sizes.
+    of size macaulay_bound(n, d-1) in degree d, so each level is the final
+    segment of size h_d.  Levels are sliced from the longest final segment
+    asked so far for their (r, d), which _held_final_segment builds from
+    the small end, so no other monomial of the degree is made: time and
+    memory are O(sum of h_d * r).  A level as long as its held segment is
+    that tuple itself.  Raises for the first degree that breaks Macaulay
+    growth, before it builds any level.  per_degree is a _LexLevels, so
+    socle_vector answers from its sizes.
     """
     _check_growth(h)
     r = h.codimension
-    levels = _LexLevels(monomials_of_degree(r, d)[-size:] for d, size in enumerate(h))
-    return SurvivorTable(num_variables=r, per_degree=levels)
+    levels = []
+    for d, size in enumerate(h):  # the lookup is inlined, so a held level costs no call
+        segment = _held_segments.get((r, d), ())
+        if len(segment) < size:
+            segment = _held_final_segment(r, d, size)
+        levels.append(segment[-size:])
+    return SurvivorTable(num_variables=r, per_degree=_LexLevels(levels))
 
 
 def hilbert_function(table: SurvivorTable) -> HVector:

@@ -172,10 +172,11 @@ class TestRealizeAndSocle:
         assert (code, out) == (0, "0,1100\n")
 
     def test_socle_builds_no_level(self, capsys):
-        # the degree-6 level of the realization would hold one of 8.1M monomials in 40 variables
+        monomials._held_segments.clear()
         before = monomials_of_degree.cache_info().currsize
         assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
         assert monomials_of_degree.cache_info().currsize == before
+        assert not monomials._held_segments
 
 
 class TestDecomposeAndRefute:
@@ -503,6 +504,38 @@ def test_fuzzed_argv_exits_with_a_documented_code_and_repeats(argv):
     assert code in (0, 1, 2, 3, 5), (argv, first)  # 4 marks a bug, never a result
     assert "Traceback" not in err
     assert outcome(argv) == first
+
+
+def _long_tail(r, runs):
+    """1, r, then each (value, count) run in turn: long and usually growth-legal when non-increasing."""
+    return ",".join(map(str, [1, r, *(value for value, count in runs for _ in range(count))]))
+
+
+# one large codimension with a short tail, or a long tail in few variables; tiny entries
+_LARGE_REALIZE_TEXT = st.one_of(
+    st.builds(lambda r, tail: ",".join(map(str, [1, r, *tail])),
+              st.integers(1, 60), st.lists(st.integers(1, 4), max_size=7)),
+    st.builds(_long_tail, st.integers(1, 3),
+              st.lists(st.tuples(st.integers(1, 4), st.integers(1, 333)), min_size=1, max_size=3)),
+)
+
+
+@given(_LARGE_REALIZE_TEXT)
+@example("1,40,1,1,1,1,1")
+@example(",".join(["1", "2", *["3"] * 1000]))
+@example(",".join(["1", *["3"] * 301]))
+def test_fuzzed_large_realize_and_socle_answer_within_a_second(text):
+    answers = []
+    for command in ("realize", "socle"):
+        start = time.perf_counter()
+        answers.append(outcome((command, text)))
+        assert time.perf_counter() - start < 1.0, (command, text)
+    (code, realized, err), (socle_code, socle, _) = answers
+    assert code in (0, 1) and socle_code == code, (text, code, socle_code, err)  # 1: growth fails
+    if code == 0:
+        entries = text.split(",")
+        assert len(realized.splitlines()) == len(entries)
+        assert socle.endswith(f",{entries[-1]}\n")  # the top degree is all socle
 
 
 # Codimension 1 and cap 1 leave at most one vector per degree under every

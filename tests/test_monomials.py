@@ -37,7 +37,7 @@ from hvectors import (
     render_monomial,
     socle_vector,
 )
-from hvectors.monomials import _last_variable_multiples
+from hvectors.monomials import _held_final_segment, _held_segments, _last_variable_multiples
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
 NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
@@ -364,10 +364,52 @@ class TestClosedForm:
                     assert str(closed.value) == str(realized.value), spoiled
 
     def test_full_levels_are_the_cached_tuples(self):
-        table = lex_segment_realization(HVector((1, 3, 6, 4)))
-        assert table.per_degree[1] is monomials_of_degree(3, 1)
-        assert table.per_degree[2] is monomials_of_degree(3, 2)
-        assert table.per_degree[3] == monomials_of_degree(3, 3)[-4:]
+        # a level as long as the segment held for its (r, d) is that tuple, not a copy
+        cached = monomials_of_degree.cache_info().currsize
+        _held_segments.clear()
+        short = lex_segment_realization(HVector((1, 3, 6, 4)))
+        assert all(level is _held_segments[3, d] for d, level in enumerate(short.per_degree))
+        longer = lex_segment_realization(HVector((1, 3, 6, 10)))
+        assert longer.per_degree[3] is _held_segments[3, 3]
+        again = lex_segment_realization(HVector((1, 3, 6, 4)))
+        assert again.per_degree[3] is not _held_segments[3, 3]
+        assert again.per_degree == short.per_degree
+        assert longer.per_degree[3][-4:] == short.per_degree[3]
+        assert monomials_of_degree.cache_info().currsize == cached
+
+
+class TestFinalSegments:
+    """_held_final_segment against the naive ascending enumeration, in any request order."""
+
+    @staticmethod
+    def check_in_order(r, d, sizes):
+        ascending = exponent_vectors(r, d)
+        _held_segments.clear()
+        longest = 0
+        for size in sizes:
+            held = _held_final_segment(r, d, size)
+            longest = max(longest, size)
+            assert len(held) == longest, (r, d, size)
+            assert held[-size:] == tuple(reversed(ascending[:size])), (r, d, size)
+
+    def test_every_size_ascending_and_descending(self):
+        for r in range(1, 7):
+            for d in range(7):
+                sizes = range(1, binom(r + d - 1, d) + 1)
+                self.check_in_order(r, d, sizes)
+                self.check_in_order(r, d, reversed(sizes))
+
+    @given(st.data())
+    def test_every_size_in_a_drawn_order(self, data):
+        r, d = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+        self.check_in_order(r, d, data.draw(st.permutations(range(1, binom(r + d - 1, d) + 1))))
+
+    def test_no_variables_and_forty_variables(self):
+        _held_segments.clear()
+        assert lex_segment_realization(HVector((1,))).per_degree == (((),),)
+        assert _held_segments == {(0, 0): ((),)}
+        for d in range(7):
+            assert _held_final_segment(40, d, 1) == ((0,) * 39 + (d,),)
 
 
 class TestMaxGrowth:
