@@ -128,7 +128,7 @@ def _subtrahends(
             cap = back
         caps.append(cap)
     caps.reverse()
-    halves = _grow(range(1, caps[1] + 1), caps, 0, True, (values, pivot, socle), on_dead)
+    halves = _grow(range(1, caps[1] + 1), caps, True, (values, pivot, socle), on_dead)
     return map(mirror, halves, repeat(socle))
 
 

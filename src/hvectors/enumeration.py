@@ -38,7 +38,6 @@ class EnumerationSpec(_Box):
 def _grow(
     first: Iterable[int],
     caps: Sequence[int],
-    low: int,
     cumulative: bool,
     residual: tuple[Sequence[int], int, int] | None = None,
     on_dead: Callable[[tuple[int, ...], int], None] | None = None,
@@ -47,9 +46,11 @@ def _grow(
 
     h_1 runs over `first`.  Each later degree d adds a growth entry g_d,
     which is h_d - h_{d-1} when cumulative and h_d itself otherwise; g_d
-    runs from low up to macaulay_bound(g_{d-1}, d-1), and h_d stays within
-    caps[d].  One mutable path and a stack of the values left at each open
-    degree stand in for recursion, so the walk has no depth limit.
+    runs up to macaulay_bound(g_{d-1}, d-1), and h_d stays within caps[d].
+    A first difference may be 0, so a cumulative h_d starts at h_{d-1}; a
+    value h_d starts at 1, as no internal zero is allowed.  One mutable
+    path and a stack of the values left at each open degree stand in for
+    recursion, so the walk has no depth limit.
 
     With `residual` = (h, pivot, socle), a child (1, a_1, ..., a_{k-1}) is
     the first half of a subtrahend a = (a_0, ..., a_socle), a_j = a_{socle-j},
@@ -79,20 +80,16 @@ def _grow(
             if d == len(caps):
                 yield tuple(path)
                 continue
-            base = value if cumulative else 0
-            bound = macaulay_bound(value - path[-2] if cumulative else value, d - 1)
-            stack.append(iter(range(base + low, min(base + bound, caps[d]) + 1)))
+            if cumulative:
+                low, high = value, value + macaulay_bound(value - path[-2], d - 1)
+            else:
+                low, high = 1, macaulay_bound(value, d - 1)
+            stack.append(iter(range(low, min(high, caps[d]) + 1)))
             path.append(0)
             break
         else:
             stack.pop()
             path.pop()
-
-
-def _free_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Prefixes (1, r, h_2, ...) with arbitrary positive entries up to the cap."""
-    for tail in product(range(1, cap + 1), repeat=length - 2):
-        yield (1, codimension) + tail
 
 
 def mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
@@ -102,48 +99,35 @@ def mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
     return prefix + prefix[-2::-1]
 
 
-def _symmetric_stream(spec: EnumerationSpec, prefixes) -> Iterator[HVector]:
-    e = spec.socle_degree
-    if e == 0:
-        return
-    if e == 1:
-        if spec.codimension == 1:
+def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
+    """Every h-vector in the box passing the filter, in lexicographic order.
+
+    O-sequences grow on values.  Every symmetric family is the mirror image
+    of its first halves (1, r, h_2, ..., h_{e//2}): SI halves grow on first
+    differences, and the other two take every half with entries in 1..cap;
+    a symmetric vector is SI exactly when its first half is differentiable,
+    so the non-SI family keeps the halves that are not.
+    """
+    e, r, cap, family = spec
+    if not isinstance(family, SequenceFilter):
+        raise ValueError(f"unknown filter {family!r}")
+    if e == 0 or e == 1 and family is not SequenceFilter.ALL_O_SEQUENCES:
+        # the one symmetric vector of socle degree 1, (1, 1), is SI
+        if e == 1 and r == 1 and family is not SequenceFilter.SYMMETRIC_NOT_SI:
             yield HVector((1, 1))
         return
-    for prefix in prefixes(spec.codimension, e // 2 + 1, spec.entry_cap):
-        yield HVector(mirror(prefix, e))
-
-
-def _non_si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # a symmetric vector is SI exactly when its first half, the prefix, is differentiable
-    return filterfalse(is_differentiable, _free_prefixes(codimension, length, cap))
-
-
-def _si_prefixes(codimension: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # every prefix the walk builds on first differences is differentiable
-    return _grow((codimension,), (cap,) * length, 0, True)
-
-
-def _o_sequence_stream(spec: EnumerationSpec) -> Iterator[HVector]:
-    if spec.socle_degree == 0:
+    if family is SequenceFilter.ALL_O_SEQUENCES:
+        yield from map(HVector, _grow((r,), (cap,) * (e + 1), False))
         return
-    caps = (spec.entry_cap,) * (spec.socle_degree + 1)
-    yield from map(HVector, _grow((spec.codimension,), caps, 1, False))
-
-
-def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
-    """Every h-vector in the box passing the filter, in lexicographic order."""
-    if spec.filter is SequenceFilter.ALL_O_SEQUENCES:
-        yield from _o_sequence_stream(spec)
-    elif spec.filter is SequenceFilter.SYMMETRIC:
-        yield from _symmetric_stream(spec, _free_prefixes)
-    elif spec.filter is SequenceFilter.SI:
-        yield from _symmetric_stream(spec, _si_prefixes)
-    elif spec.filter is SequenceFilter.SYMMETRIC_NOT_SI:
-        if spec.socle_degree > 1:  # below that the only symmetric vector, (1, 1), is SI
-            yield from _symmetric_stream(spec, _non_si_prefixes)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown filter {spec.filter}")
+    length = e // 2 + 1
+    if family is SequenceFilter.SI:
+        halves = _grow((r,), (cap,) * length, True)
+    else:
+        halves = ((1, r) + tail for tail in product(range(1, cap + 1), repeat=length - 2))
+        if family is SequenceFilter.SYMMETRIC_NOT_SI:
+            halves = filterfalse(is_differentiable, halves)
+    for half in halves:
+        yield HVector(mirror(half, e))
 
 
 def count_by_degree(
@@ -155,13 +139,7 @@ def count_by_degree(
     """Stream length of each per-degree enumeration up to the maximum degree."""
     if max_socle_degree < 0:
         raise ValueError(f"socle degree must be >= 0, got {max_socle_degree}")
-    counts = {}
-    for e in range(max_socle_degree + 1):
-        spec = EnumerationSpec(
-            socle_degree=e,
-            codimension=codimension,
-            entry_cap=entry_cap,
-            filter=filter,
-        )
-        counts[e] = sum(1 for _ in enumerate_hvectors(spec))
-    return counts
+    return {
+        e: sum(1 for _ in enumerate_hvectors(EnumerationSpec(e, codimension, entry_cap, filter)))
+        for e in range(max_socle_degree + 1)
+    }

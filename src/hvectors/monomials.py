@@ -15,12 +15,11 @@ from typing import NamedTuple, Sequence
 
 from .binomials import expand, macaulay_bound
 from .errors import InfeasibleSearchError, NotAnOSequenceError
-from .sequences import HVector
+from .sequences import HVector, _growth_violation
 
 Monomial = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in the given variables, largest first.
 
@@ -65,7 +64,6 @@ def render_monomial(monomial: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@lru_cache(maxsize=None)
 def _divisor_masks(num_variables: int, degree: int) -> tuple[int, ...]:
     """For each degree-d monomial, a bitmask of its divisors' positions in degree d-1."""
     previous = {m: k for k, m in enumerate(monomials_of_degree(num_variables, degree - 1))}
@@ -105,10 +103,9 @@ class _LexLevels(tuple):
 
 def _check_growth(h: HVector) -> None:
     """Raise NotAnOSequenceError at the first degree whose entry exceeds its growth bound."""
-    for degree in range(2, len(h)):
-        available = macaulay_bound(h[degree - 1], degree - 1)
-        if h[degree] > available:
-            raise NotAnOSequenceError(degree, available, h[degree])
+    d = _growth_violation(h.entries)
+    if d is not None:
+        raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
 
 
 # (r, d) -> the longest final lex segment of degree d in r variables built so far, largest first

@@ -102,15 +102,18 @@ class TestAgainstNaiveGenerators:
 
     @pytest.mark.parametrize("e", range(0, 7))
     def test_symmetric_not_si_filter_agreement(self, e):
-        # the same vectors in the same order; at e = 1 the one symmetric vector, (1, 1), is SI
-        for r in range(1, 5):
-            for cap in (r, r + 1, 7):
-                naive = [
-                    v
-                    for v in full_box_vectors(e, r, cap)
-                    if is_symmetric(v) and not is_si_sequence(v)
-                ]
-                assert stream(e, r, cap=cap, filter=SequenceFilter.SYMMETRIC_NOT_SI) == naive
+        # the same vectors in the same order, for both symmetric filters without the SI walk;
+        # at e = 1 the one symmetric vector, (1, 1), is SI
+        keeps_si = {SequenceFilter.SYMMETRIC: True, SequenceFilter.SYMMETRIC_NOT_SI: False}
+        for filter, si in keeps_si.items():
+            for r in range(1, 5):
+                for cap in (r, r + 1, 7):
+                    naive = [
+                        v
+                        for v in full_box_vectors(e, r, cap)
+                        if is_symmetric(v) and (si or not is_si_sequence(v))
+                    ]
+                    assert stream(e, r, cap=cap, filter=filter) == naive, (filter, r, cap)
 
 
 class TestDownstreamConsistency:
@@ -136,6 +139,18 @@ class TestCounts:
         assert counts[4] == 4
 
     def test_counts_match_stream_lengths(self):
-        counts = count_by_degree(3, 6, 25, SequenceFilter.SYMMETRIC_NOT_SI)
-        for e, count in counts.items():
-            assert count == len(stream(e, 3, filter=SequenceFilter.SYMMETRIC_NOT_SI))
+        for filter in SequenceFilter:
+            for r in (1, 2, 3):
+                counts = count_by_degree(r, 6, 25, filter)
+                assert list(counts) == list(range(7))
+                for e, count in counts.items():
+                    assert count == len(stream(e, r, filter=filter)), (filter, r, e)
+
+
+class TestUnknownFilter:
+    @pytest.mark.parametrize("e", [0, 1, 4])
+    def test_plain_string_raises_on_iteration(self, e):
+        # a member's value is not a member, even where `in SequenceFilter` would accept it
+        spec = EnumerationSpec(e, 3, 25, "si")
+        with pytest.raises(ValueError, match="unknown filter"):
+            next(enumerate_hvectors(spec))

@@ -37,6 +37,7 @@ from hvectors import (
     render_monomial,
     socle_vector,
 )
+from hvectors import monomials
 from hvectors.monomials import _held_final_segment, _held_segments, _last_variable_multiples
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
@@ -363,9 +364,12 @@ class TestClosedForm:
                     assert closed.value.degree == e
                     assert str(closed.value) == str(realized.value), spoiled
 
-    def test_full_levels_are_the_cached_tuples(self):
+    def test_full_levels_are_the_cached_tuples(self, monkeypatch):
         # a level as long as the segment held for its (r, d) is that tuple, not a copy
-        cached = monomials_of_degree.cache_info().currsize
+        def forbidden_level(num_variables, degree):
+            raise AssertionError(f"built every degree-{degree} monomial in {num_variables} variables")
+
+        monkeypatch.setattr(monomials, "monomials_of_degree", forbidden_level)
         _held_segments.clear()
         short = lex_segment_realization(HVector((1, 3, 6, 4)))
         assert all(level is _held_segments[3, d] for d, level in enumerate(short.per_degree))
@@ -375,7 +379,6 @@ class TestClosedForm:
         assert again.per_degree[3] is not _held_segments[3, 3]
         assert again.per_degree == short.per_degree
         assert longer.per_degree[3][-4:] == short.per_degree[3]
-        assert monomials_of_degree.cache_info().currsize == cached
 
 
 class TestFinalSegments:
