@@ -6,14 +6,17 @@ Exit codes: 0 success (SI / Gorenstein / clean search), 1 negative result
 4 mathematically impossible outcome (a refutation survivor or a failing
 growth trace, i.e. an implementation bug), 5 budget exceeded (a search
 that would run past its fixed budget, or memory ran out; a
-RecursionError maps to 5 too, as a guard).
+RecursionError maps to 5 too, as a guard), 141 stdout closed early (the
+reader of a pipe went away, as `head` does; the command ends quietly).
 
-`main` makes one argparse pass: when argv[0] names a command, that
-command's subparser reads the rest, and leftovers are reported by the
-top-level parser, as the full parser reports them; any other argv goes
-through the full parser.  Canonical h-vector text (signed ASCII integers
-joined by bare commas) is read with one regular expression; other text is
-read entry by entry, so that the error names the bad entry.
+`main` reads a well-formed argv straight from the command table: the
+command name, then its positionals and its flags, spelled exactly, in any
+order.  Anything else (help, `--`, `--flag=value`, an abbreviation, a
+repeated flag, a missing, leftover or malformed argument) goes to the
+argparse parser, which alone prints help, usage and every argument error,
+and which is imported only then.  Canonical h-vector text (signed ASCII
+integers joined by bare commas) is read with one regular expression;
+other text is read entry by entry, so that the error names the bad entry.
 
 Every command needs `sequences` (and with it `binomials`).  A handler
 reaches `monomials`, `decomposition` or `enumeration` as an attribute of
@@ -25,11 +28,12 @@ few microseconds on every call.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
 import re
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 import hvectors
 
@@ -48,6 +52,9 @@ from .sequences import (
     unimodality_violation,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 SCHEMA_VERSION = "1"
 # version 2: a refuted entry shorter than the input stands for every
 # candidate subtrahend whose first half it is
@@ -59,6 +66,7 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_IMPOSSIBLE = 4
 EXIT_BUDGET = 5
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a command stopped by SIGPIPE
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # canonical h-vector text: such integers joined by bare commas, no whitespace
@@ -88,6 +96,8 @@ def _integer_flag(text: str) -> int:
     try:
         return _parse_integer(text.strip())
     except ValueError as exc:
+        import argparse  # only the parser calls this, and it has loaded argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -148,7 +158,7 @@ def _json_report(
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args) -> int:
     if args.n < 1:
         raise ValueError("n must be positive")
     if args.i < 1:
@@ -158,7 +168,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_check(h: HVector, args) -> int:
     violations = _predicate_violations(h)
     si = _is_si(violations)
     if args.json:
@@ -171,7 +181,7 @@ def _cmd_check(h: HVector, args: argparse.Namespace) -> int:
     return EXIT_OK if si else EXIT_NEGATIVE
 
 
-def _cmd_classify(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_classify(h: HVector, args) -> int:
     report = classify_gorenstein(h)
     if args.json:
         certificate = {
@@ -194,7 +204,7 @@ def _cmd_classify(h: HVector, args: argparse.Namespace) -> int:
     }[report.verdict]
 
 
-def _cmd_realize(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_realize(h: HVector, args) -> int:
     monomials = hvectors.monomials
     table = monomials.lex_segment_realization(h)
     for degree, level in enumerate(table.per_degree):
@@ -202,12 +212,12 @@ def _cmd_realize(h: HVector, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_socle(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_socle(h: HVector, args) -> int:
     print(str(hvectors.monomials.lex_socle_vector(h)))
     return EXIT_OK
 
 
-def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_decompose(h: HVector, args) -> int:
     decomposition = hvectors.decomposition.find_pivot_decomposition(h, args.pivot)
     if decomposition is None:
         print(
@@ -249,7 +259,7 @@ def _cmd_decompose(h: HVector, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
+def _cmd_refute(h: HVector, args) -> int:
     report = hvectors.decomposition.refute_non_si(h)
     if args.json:
         certificate = {
@@ -276,7 +286,7 @@ def _cmd_refute(h: HVector, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args) -> int:
     enumeration = hvectors.enumeration
     filter_ = SequenceFilter(args.filter)
     if args.count_only:
@@ -327,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The `hvec` parser, built on first use and shared by every later `main` call.
 
     Sharing is safe: each `parse_args` call fills a fresh namespace, and
-    no flag has a mutable default.  Its `commands` attribute maps each
-    command name to that command's subparser.
+    no flag has a mutable default.
     """
+    import argparse  # here, so that a well-formed call never loads it
+
     parser = argparse.ArgumentParser(
         prog="hvec",
         description="Growth bounds, h-vector predicates and Gorenstein classification.",
@@ -340,36 +351,96 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in flags:
             subparser.add_argument(flag, **keywords)
         subparser.set_defaults(func=handler)
-    parser.commands = subparsers.choices
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """What `build_parser().parse_args(argv)` gives, in one argparse pass when argv[0] is a command.
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` gives, less `command`, for a well-formed argv.
 
-    The top-level pass would only find the subcommand and hand it the rest;
-    leftovers are reported by the top-level parser, as that pass reports them.
+    Reads the command name, then in any order its positionals (tokens not
+    starting with "-") and its flags spelled exactly as in `_COMMANDS`,
+    each at most once, each value not starting with "-".  Returns None for
+    any other argv, so that the parser answers it, help and errors included.
     """
-    parser = build_parser()
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    keywords_of = dict(flags)
+    positionals = iter([flag for flag, _ in flags if flag[0] != "-"])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            flag, text = next(positionals, None), token
+            if flag is None:
+                return None
+        else:
+            flag = token
+            keywords = keywords_of.get(flag)  # a positional's name never starts with "-"
+            if keywords is None or flag in given:
+                return None
+            if keywords.get("action") == "store_true":
+                text = True
+            else:
+                text = next(tokens, "-")  # a missing value reads as a flag
+                if text[:1] == "-":
+                    return None
+        given[flag] = text
+    values = {"func": handler}
+    for flag, keywords in flags:
+        value = given.get(flag)
+        if value is None:
+            if keywords.get("required", flag[0] != "-"):
+                return None
+            value = keywords.get("default", False)  # only store_true flags have no default
+        elif "type" in keywords:  # _integer_flag, the one type in the table
+            try:
+                value = _parse_integer(value.strip())
+            except ValueError:
+                return None
+        elif "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values)
+
+
+def _parse_args(argv: Sequence[str] | None):
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in parser.commands:
-        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
-    return parser.parse_args(argv)
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _detach_stdout() -> None:
+    """Point a stdout that has a file descriptor at os.devnull.
+
+    After a broken pipe, this leaves the flush at interpreter exit nowhere
+    to fail; an in-process stream without a descriptor is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
     try:
-        if "hvector" in args:
-            return args.func(_parse_hvector(args.hvector), args)
-        return args.func(args)
-    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        try:
+            args = _parse_args(argv)
+            if "hvector" in vars(args):
+                return args.func(_parse_hvector(args.hvector), args)
+            return args.func(args)
+        except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        finally:  # after argparse's help and errors too: a closed pipe shows here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

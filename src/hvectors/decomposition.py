@@ -32,6 +32,7 @@ from .errors import (
 )
 from .sequences import (
     HVector,
+    _growth_violation,
     is_differentiable,
     is_si_sequence,
     is_symmetric,
@@ -152,6 +153,10 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
         raise ValueError(f"no pivot exists at socle degree 0, got {pivot}")
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
+    # every residual starts (h_0, ..., h_{pivot-1}, h_pivot - 1), since a_0 = 1; a
+    # prefix that already breaks growth leaves no candidate to walk (empty at pivot 1)
+    if pivot > 1 and _growth_violation(h.entries[:pivot] + (h.entries[pivot] - 1,)) is not None:
+        return None
     # candidates arrive in ascending lexicographic order, so first valid wins
     for subtrahend in _subtrahends(h, pivot):
         residual = _residual(h, pivot, subtrahend)

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +23,7 @@ from hvectors.monomials import (
     socle_vector,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
@@ -483,6 +486,121 @@ _ARGVS = st.one_of(
         st.sampled_from([f.value for f in SequenceFilter]),
         st.sampled_from([(), ("--count-only",)])),
 )
+
+
+def _full_parse(argv):
+    """vars(build_parser().parse_args(argv)) without `command`, which the reader leaves out."""
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["command"]
+    return parsed
+
+
+_INTEGER_TEXT = st.one_of(_PADDED_TOKEN, st.integers(-3, 12).map(str))
+_HVECTOR_TOKEN = st.one_of(_HVECTOR_TEXT, st.sampled_from(["1,3,4,3,1", " 1, 2,1", "-1,2"]))
+_ODD_TOKEN = st.sampled_from([
+    "-h", "--help", "--", "--pivot=2", "--piv", "--js", "--count", "-", "", "x", "SI", "-1",
+    *(f.value for f in SequenceFilter),
+    *sorted({flag for _, _, flags in cli._COMMANDS.values() for flag, _ in flags if flag[0] == "-"}),
+])
+
+
+def _units(flags):
+    """Strategies for each flag's tokens as a well-formed argv spells them, if at all."""
+    for flag, keywords in flags:
+        if "choices" in keywords:
+            value = st.sampled_from(keywords["choices"])
+        else:
+            value = _INTEGER_TEXT if "type" in keywords else _HVECTOR_TOKEN
+        if flag[0] != "-":
+            yield value.map(lambda text: (text,))
+        elif keywords.get("action") == "store_true":
+            yield st.sampled_from([(), (flag,)])
+        else:
+            spelled = value.map(lambda text, flag=flag: (flag, text))
+            yield spelled if keywords.get("required") else st.one_of(st.just(()), spelled)
+
+
+@given(st.data())
+def test_reader_builds_what_the_full_parser_builds(data):
+    # a well-formed argv in any order, then up to two stray, odd or repeated tokens
+    command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+    units = [data.draw(unit) for unit in _units(cli._COMMANDS[command][2])]
+    tokens = [token for unit in data.draw(st.permutations(units)) for token in unit]
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        stray = data.draw(st.one_of(
+            st.one_of(_ODD_TOKEN, _INTEGER_TEXT, st.sampled_from(tokens or [""])).map(lambda t: [t]),
+            st.lists(st.one_of(_ODD_TOKEN, _INTEGER_TEXT), min_size=2, max_size=2)))
+        at = data.draw(st.integers(0, len(tokens)))
+        tokens[at:at] = stray
+    argv = [command, *tokens]
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == _full_parse(argv), argv
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (("expand", " 4 ", "+2"), True),
+    (("check", "--json", "1,3,3,1"), True),
+    (("decompose", "--pivot", "2", " 1, 3,4,3,1", "--json"), True),
+    (("enumerate", "--count-only", "--filter", "o-sequence", "--codim", "03", "--degree", "2"), True),
+    ((), False), (("frobnicate", "1,2,1"), False), (("--json", "check", "1,2,1"), False),
+    (("check", "-h"), False), (("check", "1,3,3,1", "--help"), False),
+    (("check", "--", "1,3,3,1"), False), (("socle", "-1,2"), False),
+    (("decompose", "1,3,4,3,1", "--pivot=2"), False), (("decompose", "1,3,4,3,1", "--piv", "2"), False),
+    (("check", "1,3,3,1", "--json", "--json"), False),
+    (("decompose", "1,3,4,3,1", "--pivot", "x", "--pivot", "2"), False),
+    (("decompose", "1,3,4,3,1", "--pivot", "-1"), False), (("decompose", "1,3,4,3,1", "--pivot"), False),
+    (("check",), False), (("check", "1,3,3,1", "extra"), False), (("expand", "4"), False),
+    (("enumerate", "--degree", "2"), False), (("expand", "1_0", "2"), False),
+    (("expand", "4", "\u0662"), False), (("expand", "", "2"), False),
+    (("enumerate", "--degree", "2", "--codim", "3", "--filter", "SI"), False),
+])
+def test_reader_takes_the_plain_spelling_and_leaves_the_rest_to_the_parser(argv, accepted):
+    assert (cli._read(argv) is not None) == accepted
+
+
+def test_reader_takes_every_benchmark_argv_as_the_full_parser_does(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    argvs = []
+    monkeypatch.setattr(workloads, "run_cli", argvs.append)
+    for seed in (1, 2, 3):
+        for op in workloads.single_vector(seed).ops:
+            op.call()
+    assert argvs
+    for argv in argvs:
+        read = cli._read(argv)
+        assert read is not None and vars(read) == _full_parse(argv), argv
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_a_closed_stream_in_process_ends_quietly():
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
+        assert main(["check", "1,3,3,1"]) == cli.EXIT_BROKEN_PIPE
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv, unbuffered_code", [
+    (("enumerate", "--degree", "8", "--codim", "3", "--filter", "symmetric-not-si"), 141),
+    (("realize", "1,3,6,10,15,21"), 141),
+    # argparse from 3.11 on drops a failed write of its help, then exits 0
+    (("check", "--help"), 0 if sys.version_info >= (3, 11) else 141),
+])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(argv, unbuffered_code, unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED="1" if unbuffered else "")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "hvectors.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        process.stdout.close()  # the reader goes away before the interpreter has started
+        code, err = process.wait(timeout=60), process.stderr.read()
+    assert (code, err) == (unbuffered_code if unbuffered else cli.EXIT_BROKEN_PIPE, b"")
 
 
 # most _HVECTOR_TEXT draws are malformed; these start with 1 and about half realize

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import time
 from math import comb
 
 import pytest
@@ -133,6 +134,13 @@ class TestFind:
                         assert (found.subtrahend if found else None) == expected, (h, pivot)
                     if r == 3 and is_symmetric(h) and not is_si_sequence(h):
                         assert_covers_naive_family(h, refute_non_si(HVector(h)))
+
+    def test_a_residual_prefix_past_the_bound_ends_the_search_at_once(self):
+        # at pivot 2 every residual starts (1, 1, 199), and growth allows 1 after a 1 in degree 1
+        h = HVector((1, 1, *[200] * 17))
+        start = time.perf_counter()
+        assert find_pivot_decomposition(h, 2) is None
+        assert time.perf_counter() - start < 0.05
 
     def test_generic_vector_at_socle_degree_fifty(self, capsys):
         e = 50

@@ -72,6 +72,21 @@ def test_each_command_loads_only_the_modules_it_runs(argv, own):
     assert hvectors_modules(statement) == EVERY_COMMAND | {f"hvectors.{name}" for name in own}
 
 
+def test_only_help_and_errors_load_argparse():
+    well_formed = loaded_modules('from hvectors.cli import main; assert main(["check", "1,3,3,1"]) == 0')
+    assert not (well_formed - loaded_modules("pass")) & {"argparse", "gettext", "locale"}
+    helped = run_python("-c", "\n".join([
+        "import sys",
+        "from hvectors.cli import main",
+        "try:",
+        "    main(['check', '--help'])",
+        "except SystemExit as exc:",
+        "    print(exc.code, 'argparse' in sys.modules, file=sys.stderr)",
+    ]))
+    assert helped.stdout.startswith("usage: hvec check")
+    assert helped.stderr == "0 True\n"
+
+
 def test_import_leaves_out_dataclasses_inspect_and_json():
     added = loaded_modules("import hvectors.cli") - loaded_modules("pass")
     assert "hvectors.cli" in added
