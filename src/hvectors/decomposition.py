@@ -97,7 +97,7 @@ class RefutationReport(NamedTuple):
 def _subtrahends(
     h: HVector,
     pivot: int,
-    on_dead: Callable[[tuple[int, ...], int], None] = lambda half, degree: None,
+    on_dead: Callable[[tuple[int, ...], int], None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h, minus those of dead first halves.
 
@@ -109,10 +109,10 @@ def _subtrahends(
     a_k is capped by the smallest cap from k on; then every prefix the
     walk builds extends to a candidate.  Candidates come in ascending
     lexicographic order.  The walker tests the residual itself, and
-    `on_dead(half, degree)` hears of each first half it drops, with the
-    end degree of the residual step the half breaks.  The steps no half
-    fixes alone (before the pivot, and the middle step of an odd socle)
-    are left to the caller's check of each candidate.
+    `on_dead(half, degree)`, when given, hears of each first half it drops,
+    with the end degree of the residual step the half breaks.  The steps
+    no half fixes alone (before the pivot, and the middle step of an odd
+    socle) are left to the caller's check of each candidate.
     """
     values = h.entries
     socle = len(values) - 1 - pivot

@@ -58,7 +58,7 @@ def _grow(
     pivot..pivot+k-1 and their mirror images.  Before descending into it the
     walk checks the front step ending at degree pivot+k-1, then the mirror
     step ending at pivot+socle-k+2; a child that breaks one goes to
-    `on_dead(child, that degree)` and is dropped with all of its extensions.
+    `on_dead(child, that degree)`, if any, and is dropped with its extensions.
     """
     values, pivot, socle = residual or ((), 0, 0)
     path = [1, 0]
@@ -71,12 +71,16 @@ def _grow(
                 # front step: residual degrees f-1, f lose path[-2], value; the mirror swaps them
                 f = pivot + d - 1
                 if values[f] - value > macaulay_bound(values[f - 1] - path[-2], f - 1):
-                    on_dead(tuple(path), f)
+                    if on_dead:
+                        on_dead(tuple(path), f)
                     continue
                 f = pivot + socle - d + 2
                 if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
-                    on_dead(tuple(path), f)
-                    continue
+                    if on_dead:
+                        on_dead(tuple(path), f)
+                        continue
+                    del stack[-1], path[-1]  # no later sibling passes: its bound never rises
+                    break
             if d == len(caps):
                 yield tuple(path)
                 continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .binomials import expand, macaulay_bound
@@ -156,18 +157,19 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     socle_vector answers from its sizes.
     """
     _check_growth(h)
-    r = h.codimension
+    r = h.entries[1] if len(h.entries) > 1 else 0
+    held = _held_segments.get
     levels = []
-    for d, size in enumerate(h):  # the lookup is inlined, so a held level costs no call
-        segment = _held_segments.get((r, d), ())
+    for d, size in enumerate(h.entries):  # the lookup is inlined, so a held level costs no call
+        segment = held((r, d), ())
         if len(segment) < size:
             segment = _held_final_segment(r, d, size)
         levels.append(segment[-size:])
-    return SurvivorTable(num_variables=r, per_degree=_LexLevels(levels))
+    return tuple.__new__(SurvivorTable, (r, _LexLevels(levels)))  # past the NamedTuple's __new__
 
 
 def hilbert_function(table: SurvivorTable) -> HVector:
-    return HVector(tuple(len(level) for level in table.per_degree))
+    return HVector(tuple(map(len, table.per_degree)))
 
 
 class SocleVector(NamedTuple):
@@ -196,9 +198,8 @@ def _last_variable_multiples(size: int, degree: int) -> int:
 
 def _lex_socle(sizes: Sequence[int]) -> SocleVector:
     """The socle vector of the lex realization whose levels have these sizes."""
-    entries = [size - _last_variable_multiples(above, degree)
-               for degree, (size, above) in enumerate(zip(sizes, sizes[1:]), 1)]
-    return SocleVector((*entries, sizes[-1]))
+    above = map(_last_variable_multiples, sizes[1:], range(1, len(sizes)))
+    return tuple.__new__(SocleVector, ((*map(sub, sizes, above), sizes[-1]),))
 
 
 def lex_socle_vector(h: HVector) -> SocleVector:
@@ -226,7 +227,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     """
     levels = table.per_degree
     if isinstance(levels, _LexLevels) and len(levels[0][0]) == table.num_variables:
-        return _lex_socle([len(level) for level in levels])
+        return _lex_socle(tuple(map(len, levels)))
     if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
         return SocleVector(tuple(len(level) for level in levels))
     last = table.num_variables - 1

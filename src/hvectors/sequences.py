@@ -33,7 +33,7 @@ class HVector:
     def __init__(self, entries: Sequence[int]) -> None:
         entries = tuple(entries)
         # exact positive ints starting with 1 are already normal; anything else is checked in full
-        if not (set(map(type, entries)) == {int} and entries[0] == 1 and min(entries) > 0):
+        if not (set(map(type, entries)) == _INT_ONLY and entries[0] == 1 and min(entries) > 0):
             for degree, value in enumerate(entries):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"entry {value!r} at degree {degree} is not an integer")
@@ -47,7 +47,7 @@ class HVector:
                     raise ValueError(f"negative entry {value} at degree {degree}")
                 if value == 0:
                     raise ValueError(f"internal zero at degree {degree}")
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)  # the slot's own setter, past the refusing __setattr__
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"HVector is immutable; cannot set or delete {name!r}")
@@ -90,12 +90,17 @@ class HVector:
         return ",".join(map(str, self.entries))
 
 
+_INT_ONLY = {int}
+_set_entries = HVector.entries.__set__
+
+
 def o_sequence_violation(seq: Sequence[int]) -> int | None:
     """First step d where seq[d+1] exceeds the Macaulay bound of seq[d].
 
-    A zero tail is ignored; an internal zero followed by a positive entry
-    violates the bound at the zero's degree.  Returns None when every step
-    is legal.
+    A step into or within a zero tail never breaks the bound, as that
+    needs seq[d+1] > bound >= 0, so the tail is not stripped; an internal
+    zero followed by a positive entry violates the bound at the zero's
+    degree.  Returns None when every step is legal.
     """
     entries = tuple(seq)
     if not entries or entries[0] != 1:
@@ -106,8 +111,7 @@ def o_sequence_violation(seq: Sequence[int]) -> int | None:
 
 
 def _growth_violation(entries: Sequence[int]) -> int | None:
-    """o_sequence_violation of entries already known to be non-negative and to start with 1."""
-    entries = strip_trailing_zeros(entries)
+    """o_sequence_violation of non-negative entries starting with 1, a zero tail left unstripped."""
     for d in range(1, len(entries) - 1):
         if entries[d + 1] > macaulay_bound(entries[d], d):
             return d

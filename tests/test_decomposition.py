@@ -132,6 +132,9 @@ class TestFind:
                         )
                         found = find_pivot_decomposition(HVector(h), pivot)
                         assert (found.subtrahend if found else None) == expected, (h, pivot)
+                        # with no listener a level may end early, but no candidate is lost
+                        heard = list(_subtrahends(HVector(h), pivot, lambda half, degree: None))
+                        assert list(_subtrahends(HVector(h), pivot)) == heard, (h, pivot)
                     if r == 3 and is_symmetric(h) and not is_si_sequence(h):
                         assert_covers_naive_family(h, refute_non_si(HVector(h)))
 

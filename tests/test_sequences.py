@@ -185,13 +185,15 @@ def _starting_with_one(draw):
     """(1, ...) with dips, internal zeros, a plateau (zeros of the first difference), zero tail."""
     values = [1] + draw(st.lists(st.integers(0, 12), max_size=7))
     values += [values[-1]] * draw(st.integers(0, 2))
-    return tuple(values + [0] * draw(st.integers(0, 2)))
+    return tuple(values + [0] * draw(st.integers(0, 4)))
 
 
 class TestPredicatesAgainstTheNaiveOracle:
     @given(_starting_with_one())
     @example((1, 3, 3, 4))  # the difference regrows after vanishing
     @example((1, 2, 0, 1))  # an internal zero regrows
+    @example((1, 3, 6, 10, 0, 0, 0, 0))  # a long zero tail after growth at the bound
+    @example((1, 3, 0, 0, 2))  # zeros that are not a tail
     def test_violation_degrees_match(self, seq):
         assert o_sequence_violation(seq) == naive_growth_violation(seq)
         assert differentiability_violation(seq) == naive_differentiability_violation(seq)
