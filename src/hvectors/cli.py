@@ -205,10 +205,8 @@ def _cmd_classify(h: HVector, args) -> int:
 
 
 def _cmd_realize(h: HVector, args) -> int:
-    monomials = hvectors.monomials
-    table = monomials.lex_segment_realization(h)
-    for degree, level in enumerate(table.per_degree):
-        print(f"degree {degree}: {', '.join(map(monomials.render_monomial, level))}")
+    levels = hvectors.monomials.lex_realization_names(h)
+    print("\n".join(f"degree {d}: {', '.join(names)}" for d, names in enumerate(levels)))
     return EXIT_OK
 
 
@@ -226,7 +224,7 @@ def _cmd_decompose(h: HVector, args) -> int:
         )
         return EXIT_NEGATIVE
     traces = []
-    if args.pivot == 1 and h.codimension == 3 and symmetry_violation(h.entries) is None:
+    if args.pivot == 1 and h.codimension == 3 and h.entries == h.entries[::-1]:
         traces = hvectors.decomposition.verify_decomposition_traces(h, decomposition)
     if args.json:
         certificate = {
@@ -235,27 +233,28 @@ def _cmd_decompose(h: HVector, args) -> int:
             "residual": list(decomposition.residual),
             "traces": [
                 {
-                    "degree": trace.degree,
-                    "case": trace.case.value,
+                    "degree": degree,
+                    "case": case.value,
                     "inequalities": [
-                        {"label": c.label, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-                        for c in trace.inequalities
+                        {"label": label, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
+                        for label, lhs, rhs in inequalities
                     ],
                 }
-                for trace in traces
+                for degree, case, inequalities in traces
             ],
         }
         print(_json_report(h, certificate))
     else:
         subtrahend = _render_entries(decomposition.subtrahend)
         residual = _render_entries(strip_trailing_zeros(decomposition.residual))
-        print(f"a = {subtrahend}; residual = {residual}")
-        for trace in traces:
+        lines = [f"a = {subtrahend}; residual = {residual}"]
+        for degree, case, inequalities in traces:
             checks = ", ".join(
-                f"{c.label}: {c.lhs} <= {c.rhs} {'ok' if c.holds else 'FAIL'}"
-                for c in trace.inequalities
+                f"{label}: {lhs} <= {rhs} {'ok' if lhs <= rhs else 'FAIL'}"
+                for label, lhs, rhs in inequalities
             )
-            print(f"trace degree {trace.degree}: case {trace.case.value}; {checks}")
+            lines.append(f"trace degree {degree}: case {case.value}; {checks}")
+        print("\n".join(lines))
     return EXIT_OK
 
 

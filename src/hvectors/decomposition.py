@@ -9,10 +9,12 @@ exhaustive absence of one certifies that a symmetric non-SI vector cannot
 be Gorenstein.  Both searches hand h to the one growth walker, which
 builds the subtrahend's first half in lex order and itself tests the
 residual step at either end that each half fixes, dropping a half as soon
-as one breaks.  Decompose returns the lex-first subtrahend whose residual
-obeys growth; refute certifies that none does by listing every dropped
-first half with the degree of its broken step, and every full candidate
-that reached the end of the walk.
+as one breaks.  That leaves one residual step to test per candidate, the
+middle one of an odd subtrahend socle (_middle_step_violation).  Decompose
+returns the lex-first subtrahend whose residual obeys growth; refute
+certifies that none does by listing every dropped first half with the
+degree of its broken step, and every full candidate whose middle step
+breaks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import repeat
 from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
-from .binomials import binom, macaulay_bound
+from .binomials import macaulay_bound
 from .enumeration import _grow, mirror
 from .errors import (
     InfeasibleSearchError,
@@ -30,15 +32,7 @@ from .errors import (
     TraceViolationError,
     UnsupportedCodimensionError,
 )
-from .sequences import (
-    HVector,
-    _growth_violation,
-    is_differentiable,
-    is_si_sequence,
-    is_symmetric,
-    o_sequence_violation,
-    strip_trailing_zeros,
-)
+from .sequences import HVector, _growth_violation, is_differentiable
 
 
 # Entries a refutation certificate may list before the search gives up.
@@ -61,6 +55,10 @@ class TraceCase(Enum):
     SUBTRAHEND_GENERIC = "subtrahend_generic"
     RESIDUAL_STEP_GENERIC = "residual_step_generic"
     RESIDUAL_STEP_SMALL = "residual_step_small"
+
+
+# the members as plain names, since each TraceCase.X lookup is a descriptor call on Python 3.11
+_SUBTRAHEND_GENERIC, _RESIDUAL_STEP_GENERIC, _RESIDUAL_STEP_SMALL = TraceCase
 
 
 class InequalityCheck(NamedTuple):
@@ -110,9 +108,11 @@ def _subtrahends(
     walk builds extends to a candidate.  Candidates come in ascending
     lexicographic order.  The walker tests the residual itself, and
     `on_dead(half, degree)`, when given, hears of each first half it drops,
-    with the end degree of the residual step the half breaks.  The steps
-    no half fixes alone (before the pivot, and the middle step of an odd
-    socle) are left to the caller's check of each candidate.
+    with the end degree of the residual step the half breaks.  So every
+    residual step ending past the pivot holds for a candidate, except the
+    middle step of an odd socle, which no half fixes alone
+    (_middle_step_violation tests it); the steps ending at or before the
+    pivot are the same for every candidate, and are the caller's.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
@@ -137,6 +137,28 @@ def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int,
     return h.entries[:pivot] + tuple(map(sub, h.entries[pivot:], subtrahend))
 
 
+def _middle_step_violation(
+    values: tuple[int, ...], pivot: int, subtrahend: tuple[int, ...]
+) -> int | None:
+    """End degree of the residual's middle step when it breaks growth, else None.
+
+    For a candidate from _subtrahends, whose walk has tested every other
+    step past the pivot, this is the end degree of the only one that can
+    break.  The front steps end at pivot+1..pivot+socle//2 and the mirror
+    steps at pivot+socle-socle//2+1..pivot+socle: for an even socle they
+    meet, and for an odd socle 2m+1 the step ending at pivot+m+1 is left,
+    with both its degrees losing a_m = a_{m+1}.
+    """
+    if len(subtrahend) % 2:  # an even socle
+        return None
+    middle = len(subtrahend) // 2  # m + 1
+    end = pivot + middle
+    a = subtrahend[middle]
+    if values[end] - a > macaulay_bound(values[end - 1] - a, end - 1):
+        return end
+    return None
+
+
 def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition | None:
     """Search for a decomposition at the given pivot; None when none exists.
 
@@ -158,10 +180,11 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
     if pivot > 1 and _growth_violation(h.entries[:pivot] + (h.entries[pivot] - 1,)) is not None:
         return None
     # candidates arrive in ascending lexicographic order, so first valid wins
+    values = h.entries
     for subtrahend in _subtrahends(h, pivot):
-        residual = _residual(h, pivot, subtrahend)
-        if o_sequence_violation(residual) is None:
-            return PivotDecomposition(pivot=pivot, subtrahend=subtrahend, residual=residual)
+        if _middle_step_violation(values, pivot, subtrahend) is None:
+            residual = _residual(h, pivot, subtrahend)
+            return tuple.__new__(PivotDecomposition, (pivot, subtrahend, residual))
     return None
 
 
@@ -170,7 +193,8 @@ def refute_non_si(h: HVector) -> RefutationReport:
 
     `refuted` lists, in walk order, each dead first half with the end
     degree of the step it breaks, standing for every candidate that starts
-    with it, and each full candidate with its residual's first violation.
+    with it, and each full candidate with the end degree of its residual's
+    first illegal step, which is the middle one.
     A surviving candidate would contradict the codimension-3
     classification and is surfaced as a loud implementation-bug signal.
     Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET entries.
@@ -196,11 +220,11 @@ def refute_non_si(h: HVector) -> RefutationReport:
         refuted.append(tuple.__new__(RefutedCandidate, (entry, degree)))
 
     for subtrahend in _subtrahends(h, 1, refute):
-        step = o_sequence_violation(_residual(h, 1, subtrahend))  # the caps keep it non-negative
-        if step is None:
+        degree = _middle_step_violation(values, 1, subtrahend)
+        if degree is None:
             survivors.append(subtrahend)
         else:
-            refute(subtrahend, step + 1)  # the end degree of the residual's first illegal step
+            refute(subtrahend, degree)
     return tuple.__new__(RefutationReport, (h, tuple(refuted), tuple(survivors)))
 
 
@@ -217,65 +241,70 @@ def verify_decomposition_traces(
     valid decomposition of a symmetric codimension-3 vector can produce one.
     """
     _check_decomposition(h, decomposition)
-    e = h.socle_degree
-    subtrahend = decomposition.subtrahend
-    residual = decomposition.residual
+    _, subtrahend, residual = decomposition
+    # the first degree whose entry is below its generic value d + 1 (degree 0 holds 1)
+    for subgeneric, value in enumerate(residual):
+        if value <= subgeneric:
+            break
+    # the residual obeys growth, so it has no zero before a positive entry to rise from
+    for d in range(subgeneric + 1, len(residual)):
+        if residual[d] > residual[d - 1]:
+            raise TraceViolationError(d, "(residual-monotone)", residual[d], residual[d - 1])
 
-    stripped = strip_trailing_zeros(residual)
-    seen_subgeneric: int | None = None
-    for d in range(len(stripped)):
-        if seen_subgeneric is not None and d > seen_subgeneric:
-            if stripped[d] > stripped[d - 1]:
-                raise TraceViolationError(
-                    d, "(residual-monotone)", stripped[d], stripped[d - 1]
-                )
-        if seen_subgeneric is None and stripped[d] < d + 1:
-            seen_subgeneric = d
-
+    new = tuple.__new__  # builds each check and trace at C level, past the NamedTuple's __new__
     h = h.entries  # indexing the tuple skips HVector.__getitem__
     a = subtrahend[-1:] + subtrahend  # a[i] = subtrahend[i - 1], for i = 0 too
     traces = []
-    for i in range(1, e // 2 + 1):
-        if h[i] >= binom(i + 2, 2):
+    for i in range(1, (len(h) + 1) // 2):  # 1..e//2
+        if h[i] >= (i + 2) * (i + 1) // 2:  # C(i + 2, 2), the generic value
             continue
         delta_prev = residual[i - 1]
-        if a[i] == binom(i + 1, 2):
-            case = TraceCase.SUBTRAHEND_GENERIC
+        if a[i] == (i + 1) * i // 2:  # C(i + 1, 2)
+            case = _SUBTRAHEND_GENERIC
         elif delta_prev == i:
-            case = TraceCase.RESIDUAL_STEP_GENERIC
+            case = _RESIDUAL_STEP_GENERIC
         elif delta_prev <= i - 1:
-            case = TraceCase.RESIDUAL_STEP_SMALL
+            case = _RESIDUAL_STEP_SMALL
         else:
             raise TraceViolationError(i, "(residual-generic-cap)", delta_prev, i)
-        checks = [InequalityCheck("(1)", h[i] - h[i - 1], h[i - 1] - h[i - 2])]
-        if case is TraceCase.RESIDUAL_STEP_SMALL:
-            checks.append(InequalityCheck("(2)", a[i] - a[i - 1], h[i - 1] - h[i - 2]))
-            checks.append(InequalityCheck("(3)", h[i] - h[i - 1], a[i] - a[i - 1]))
-        for check in checks:
-            if not check.holds:
-                raise TraceViolationError(i, check.label, check.lhs, check.rhs)
-        traces.append(DegreeTrace(degree=i, case=case, inequalities=tuple(checks)))
+        step, before = h[i] - h[i - 1], h[i - 1] - h[i - 2]
+        checks = (new(InequalityCheck, ("(1)", step, before)),)
+        if case is _RESIDUAL_STEP_SMALL:
+            rise = a[i] - a[i - 1]
+            checks += (
+                new(InequalityCheck, ("(2)", rise, before)),
+                new(InequalityCheck, ("(3)", step, rise)),
+            )
+        for label, lhs, rhs in checks:
+            if lhs > rhs:
+                raise TraceViolationError(i, label, lhs, rhs)
+        traces.append(new(DegreeTrace, (i, case, checks)))
     return traces
 
 
 def _check_decomposition(h: HVector, decomposition: PivotDecomposition) -> None:
-    if decomposition.pivot != 1:
+    pivot, subtrahend, residual = decomposition
+    if pivot != 1:
         raise PreconditionViolatedError("trace verification needs pivot 1")
     if h.codimension != 3:
         raise PreconditionViolatedError(
             f"trace verification needs codimension 3, got {h.codimension}"
         )
-    if not is_symmetric(h.entries):
+    values = h.entries
+    if values != values[::-1]:
         raise PreconditionViolatedError("trace verification needs a symmetric input")
-    if len(decomposition.subtrahend) != h.socle_degree:
+    if len(subtrahend) != len(values) - 1:
         raise PreconditionViolatedError("subtrahend length does not match the input")
-    if decomposition.subtrahend[0] != 1:
+    if subtrahend[0] != 1:
         raise PreconditionViolatedError("subtrahend must start with 1")
-    if not is_si_sequence(decomposition.subtrahend):
+    # the SI test: symmetric, with a differentiable first half
+    if subtrahend != subtrahend[::-1] or not is_differentiable(
+        subtrahend[: (len(subtrahend) + 1) // 2]
+    ):
         raise PreconditionViolatedError("subtrahend is not an SI-sequence")
-    if decomposition.residual != _residual(h, 1, decomposition.subtrahend):
+    if residual != _residual(h, 1, subtrahend):
         raise PreconditionViolatedError("residual does not match h minus the subtrahend")
-    if any(x < 0 for x in decomposition.residual):
+    if min(residual) < 0:
         raise PreconditionViolatedError("residual has a negative entry")
-    if o_sequence_violation(decomposition.residual) is not None:
+    if _growth_violation(residual) is not None:  # residual[0] = h_0 = 1, as it matches
         raise PreconditionViolatedError("residual violates Macaulay growth")

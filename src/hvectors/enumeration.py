@@ -55,25 +55,35 @@ def _grow(
     With `residual` = (h, pivot, socle), a child (1, a_1, ..., a_{k-1}) is
     the first half of a subtrahend a = (a_0, ..., a_socle), a_j = a_{socle-j},
     and fixes the residual h - a (a shifted to the pivot) at degrees
-    pivot..pivot+k-1 and their mirror images.  Before descending into it the
-    walk checks the front step ending at degree pivot+k-1, then the mirror
-    step ending at pivot+socle-k+2; a child that breaks one goes to
-    `on_dead(child, that degree)`, if any, and is dropped with its extensions.
+    pivot..pivot+k-1 and their mirror images.  A child must keep the front
+    step, ending at degree f = pivot+k-1, and then the mirror step, ending
+    at pivot+socle-k+2, within growth; one that breaks either goes to
+    `on_dead(child, that degree)`, if any, and is dropped with its
+    extensions.  The front step's bound depends only on the parent, so it
+    is looked up once, as a level opens: a child breaks the step exactly
+    when a_{k-1} < h_f - macaulay_bound(h_{f-1} - a_{k-2}, f-1), the
+    level's floor.  The children below the floor, which come first in lex
+    order, go to `on_dead` at once, and the level's range starts at the
+    floor.  `first` must then be a range.
     """
     values, pivot, socle = residual or ((), 0, 0)
     path = [1, 0]
+    if residual is not None:  # the first level's floor, as each later level's below
+        low, high = first.start, first.stop
+        f = pivot + 1
+        floor = values[f] - macaulay_bound(values[f - 1] - 1, f - 1)
+        if floor > low:
+            if on_dead:
+                for path[-1] in range(low, min(floor, high)):
+                    on_dead(tuple(path), f)
+            first = range(floor, high)
     stack = [iter(first)]
     while stack:
         for value in stack[-1]:
             path[-1] = value
             d = len(path)
             if residual is not None:
-                # front step: residual degrees f-1, f lose path[-2], value; the mirror swaps them
-                f = pivot + d - 1
-                if values[f] - value > macaulay_bound(values[f - 1] - path[-2], f - 1):
-                    if on_dead:
-                        on_dead(tuple(path), f)
-                    continue
+                # mirror step: residual degrees f-1, f lose value, path[-2]
                 f = pivot + socle - d + 2
                 if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
                     if on_dead:
@@ -88,8 +98,18 @@ def _grow(
                 low, high = value, value + macaulay_bound(value - path[-2], d - 1)
             else:
                 low, high = 1, macaulay_bound(value, d - 1)
-            stack.append(iter(range(low, min(high, caps[d]) + 1)))
+            high = min(high, caps[d]) + 1
             path.append(0)
+            if residual is not None:
+                # front step: residual degrees f-1, f lose value and the child
+                f = pivot + d
+                floor = values[f] - macaulay_bound(values[f - 1] - value, f - 1)
+                if floor > low:
+                    if on_dead:
+                        for path[-1] in range(low, min(floor, high)):
+                            on_dead(tuple(path), f)
+                    low = floor
+            stack.append(iter(range(low, high)))
             break
         else:
             stack.pop()

@@ -168,6 +168,32 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     return tuple.__new__(SurvivorTable, (r, _LexLevels(levels)))  # past the NamedTuple's __new__
 
 
+# (r, d) -> render_monomial of the longest final lex segment of degree d named so far, in order
+_held_names: dict[tuple[int, int], tuple[str, ...]] = {}
+
+
+def lex_realization_names(h: HVector) -> list[tuple[str, ...]]:
+    """Per degree, render_monomial of each monomial of lex_segment_realization(h), in order.
+
+    Like the segments, the names are held per (r, d), for the longest
+    final segment named so far; a longer level renders only the monomials
+    above the held names, since a final segment of size n ends in the one
+    of every smaller size.  So each monomial is rendered once, and a level
+    is the last h_d held names.  Raises as lex_segment_realization does.
+    """
+    table = lex_segment_realization(h)
+    r = table.num_variables
+    held = _held_names.get
+    levels = []
+    for d, level in enumerate(table.per_degree):
+        names = held((r, d), ())
+        if len(names) < len(level):
+            new = level[: len(level) - len(names)]
+            names = _held_names[r, d] = (*map(render_monomial, new), *names)
+        levels.append(names[-len(level) :])
+    return levels
+
+
 def hilbert_function(table: SurvivorTable) -> HVector:
     return HVector(tuple(map(len, table.per_degree)))
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,12 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import naive_parse_hvector, naive_refutes
-from hvectors import cli, decomposition, monomials
+from hvectors import HVector, cli, decomposition, macaulay_bound, monomials
 from hvectors.cli import build_parser, main
 from hvectors.enumeration import SequenceFilter
 from hvectors.monomials import (
     SurvivorTable,
     lex_segment_realization,
+    render_monomial,
     socle_vector,
 )
 
@@ -182,6 +184,31 @@ class TestRealizeAndSocle:
         monkeypatch.setattr(monomials, "monomials_of_degree", forbidden_level)
         assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
         assert not monomials._held_segments
+
+    def test_realize_text_while_the_held_segments_grow(self, monkeypatch):
+        # O-sequences in 2, 3 or 5 variables in a seeded random order, so that the held
+        # segments and their names grow, or are sliced, between calls; halfway the segments
+        # are dropped and rebuilt while the names stay
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        monkeypatch.setattr(monomials, "_held_names", {})
+        rng = random.Random(23)
+        grew = 0
+        for k in range(300):
+            if k == 150:
+                monomials._held_segments.clear()
+            r = rng.choice((2, 3, 5))
+            h = [1, r]
+            for d in range(1, rng.randint(1, 6)):
+                h.append(rng.randint(1, min(macaulay_bound(h[-1], d), 40)))
+            held = dict(monomials._held_names)
+            answer = outcome(["realize", ",".join(map(str, h))])
+            grew += monomials._held_names != held
+            expected = "".join(
+                f"degree {d}: {', '.join(map(render_monomial, level))}\n"
+                for d, level in enumerate(lex_segment_realization(HVector(h)).per_degree)
+            )
+            assert answer == (0, expected, ""), h
+        assert grew == 25
 
 
 class TestDecomposeAndRefute:

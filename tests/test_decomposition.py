@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import json
+import re
 import time
+from itertools import chain
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from bruteforce import (
     full_box_vectors,
     mirrored_symmetric_vectors,
+    naive_bound,
     naive_obeys_growth,
     naive_refutes,
     naive_residual,
@@ -31,12 +34,13 @@ from hvectors import (
     is_o_sequence,
     is_si_sequence,
     is_symmetric,
+    o_sequence_violation,
     refute_non_si,
     verify_decomposition_traces,
 )
 from hvectors import decomposition
 from hvectors.cli import main
-from hvectors.decomposition import _residual, _subtrahends
+from hvectors.decomposition import _middle_step_violation, _residual, _subtrahends
 from hvectors.enumeration import mirror
 
 
@@ -117,26 +121,68 @@ class TestFind:
             assert a == tuple(reversed(a))
 
     def test_search_matches_the_naive_oracle_on_the_box(self):
-        # every (1, r, ...) with r <= 3, e <= 6, entries <= 6, at every pivot
-        for r in (1, 2, 3):
-            for e in range(1, 7):
-                for h in full_box_vectors(e, r, 6):
-                    for pivot in range(1, e + 1):
-                        expected = next(
-                            (
-                                a
-                                for a in naive_subtrahends(h, pivot, max(h))
-                                if naive_obeys_growth(naive_residual(h, pivot, a))
-                            ),
-                            None,
-                        )
-                        found = find_pivot_decomposition(HVector(h), pivot)
-                        assert (found.subtrahend if found else None) == expected, (h, pivot)
-                        # with no listener a level may end early, but no candidate is lost
-                        heard = list(_subtrahends(HVector(h), pivot, lambda half, degree: None))
-                        assert list(_subtrahends(HVector(h), pivot)) == heard, (h, pivot)
-                    if r == 3 and is_symmetric(h) and not is_si_sequence(h):
-                        assert_covers_naive_family(h, refute_non_si(HVector(h)))
+        # every (1, r, ...) with r <= 3, e <= 6, entries <= 6, and every symmetric
+        # (1, 3, ..., 3, 1) with e = 7, 8 and entries <= 8 that is not an O-sequence,
+        # at every pivot
+        boxes = [full_box_vectors(e, r, 6) for r in (1, 2, 3) for e in range(1, 7)]
+        boxes += [
+            (h for h in mirrored_symmetric_vectors(e, 3, 8) if not naive_obeys_growth(h))
+            for e in (7, 8)
+        ]
+        not_o_sequences = 0
+        for h in chain.from_iterable(boxes):
+            not_o_sequences += not naive_obeys_growth(h)
+            for pivot in range(1, len(h)):
+                expected = next(
+                    (
+                        a
+                        for a in naive_subtrahends(h, pivot, max(h))
+                        if naive_obeys_growth(naive_residual(h, pivot, a))
+                    ),
+                    None,
+                )
+                found = find_pivot_decomposition(HVector(h), pivot)
+                assert (found.subtrahend if found else None) == expected, (h, pivot)
+                # with no listener a level may end early, but no candidate is lost
+                heard = list(_subtrahends(HVector(h), pivot, lambda half, degree: None))
+                assert list(_subtrahends(HVector(h), pivot)) == heard, (h, pivot)
+            if h[1] == 3 and is_symmetric(h) and not is_si_sequence(h):
+                assert_covers_naive_family(h, refute_non_si(HVector(h)))
+        assert not_o_sequences == 27_542
+
+    def test_the_middle_step_is_the_only_one_left_to_test(self):
+        # every candidate of every pivot on the symmetric e <= 8, cap-25 codimension-3 box:
+        # past the pivot its residual breaks growth at the middle step of an odd socle or
+        # nowhere, as the naive bound sees it, and _middle_step_violation says which
+        seen = {"odd": 0, "even": 0, "socle <= 1": 0, "not an O-sequence": 0, "broken": 0}
+        for e in range(2, 9):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                values = HVector(h).entries
+                for pivot in range(1, e + 1):
+                    socle = e - pivot
+                    middle = pivot + socle // 2 + 1 if socle % 2 else None
+                    prefix_holds = naive_obeys_growth(h[:pivot] + (h[pivot] - 1,))
+                    for a in _subtrahends(HVector(h), pivot):
+                        residual = naive_residual(h, pivot, a)
+                        broken = [
+                            d + 1
+                            for d in range(pivot, e)
+                            if residual[d + 1] > naive_bound(residual[d], d)
+                        ]
+                        assert broken in ([], [middle]), (h, pivot, a)
+                        degree = _middle_step_violation(values, pivot, a)
+                        assert degree == (middle if broken else None), (h, pivot, a)
+                        if prefix_holds:  # the full check agrees: the first violation is the middle
+                            step = o_sequence_violation(residual)
+                            assert (None if step is None else step + 1) == degree, (h, pivot, a)
+                        seen["odd" if socle % 2 else "even"] += 1
+                        seen["socle <= 1"] += socle <= 1
+                        seen["not an O-sequence"] += not naive_obeys_growth(h)
+                        seen["broken"] += bool(broken)
+        assert seen == {
+            "odd": 77_990, "even": 118_180, "socle <= 1": 33_854,
+            "not an O-sequence": 194_328, "broken": 13_409,
+        }
 
     def test_a_residual_prefix_past_the_bound_ends_the_search_at_once(self):
         # at pivot 2 every residual starts (1, 1, 199), and growth allows 1 after a 1 in degree 1
@@ -233,6 +279,32 @@ class TestTraces:
         decomposition = find_pivot_decomposition(h, 2)
         with pytest.raises(PreconditionViolatedError):
             verify_decomposition_traces(h, decomposition)
+
+    @pytest.mark.parametrize("h, decomposition, message", [
+        ((1, 3, 4, 3, 1), (2, (1, 1, 1, 1), (1, 2, 3, 2, 0)), "trace verification needs pivot 1"),
+        ((1, 2, 2, 1), (1, (1, 1, 1), (1, 1, 1, 0)),
+         "trace verification needs codimension 3, got 2"),
+        ((1, 3, 4, 4), (1, (1, 1, 1), (1, 2, 3, 3)), "trace verification needs a symmetric input"),
+        ((1, 3, 4, 3, 1), (1, (1, 1, 1), (1, 2, 3, 2)),
+         "subtrahend length does not match the input"),
+        # an SI-sequence starts with 1, so this one breaks the SI test as well
+        ((1, 3, 4, 3, 1), (1, (0, 1, 1, 0), (1, 3, 3, 2, 1)), "subtrahend must start with 1"),
+        ((1, 3, 4, 5, 4, 3, 1), (1, (1, 1, 2, 2, 1, 1), (1, 2, 3, 3, 2, 2, 0)),
+         "subtrahend is not an SI-sequence"),  # symmetric, with a first half not differentiable
+        ((1, 3, 4, 3, 1), (1, (1, 1, 1, 0), (1, 2, 3, 2, 1)),
+         "subtrahend is not an SI-sequence"),  # not symmetric, with a differentiable first half
+        ((1, 3, 4, 3, 1), (1, (1, 1, 1, 1), (1, 2, 2, 2, 0)),
+         "residual does not match h minus the subtrahend"),
+        # growth is checked on non-negative entries only, so this one breaks it unchecked
+        ((1, 3, 4, 3, 1), (1, (1, 4, 4, 1), (1, 2, 0, -1, 0)), "residual has a negative entry"),
+        ((1, 3, 6, 6, 5, 6, 6, 3, 1),
+         (1, (1, 3, 3, 3, 3, 3, 3, 1), (1, 2, 3, 3, 2, 3, 3, 0, 0)),
+         "residual violates Macaulay growth"),
+    ])
+    def test_each_precondition_alone_names_itself(self, h, decomposition, message):
+        # each row breaks one precondition and keeps every one checked before it
+        with pytest.raises(PreconditionViolatedError, match=f"^{re.escape(message)}$"):
+            verify_decomposition_traces(HVector(h), PivotDecomposition(*decomposition))
 
     def test_rejects_asymmetric_input(self):
         h = HVector((1, 3, 4, 4))

@@ -37,6 +37,12 @@ def _trace():
     return verify_decomposition_traces(h, find_pivot_decomposition(h))[0]
 
 
+def _small_step_trace():
+    # the degree-3 trace of a constant plateau: a small residual step, with three checks
+    h = HVector((1, 3, 3, 3, 3, 3, 1))
+    return verify_decomposition_traces(h, find_pivot_decomposition(h))[1]
+
+
 # (built by the library or by hand, its rebuilt copy, the repr the types have always had)
 CASES = {
     "BinomialExpansion": (
@@ -67,6 +73,20 @@ CASES = {
         lambda: InequalityCheck("(1)", 1, 2),
         lambda: InequalityCheck(label="(1)", lhs=1, rhs=2),
         "InequalityCheck(label='(1)', lhs=1, rhs=2)",
+    ),
+    "InequalityCheck, library-built": (
+        lambda: _small_step_trace().inequalities[2],
+        lambda: InequalityCheck(label="(3)", lhs=0, rhs=0),
+        "InequalityCheck(label='(3)', lhs=0, rhs=0)",
+    ),
+    "DegreeTrace, three checks": (
+        _small_step_trace,
+        lambda: DegreeTrace(3, TraceCase.RESIDUAL_STEP_SMALL, (
+            InequalityCheck("(1)", 0, 0), InequalityCheck("(2)", 0, 0), InequalityCheck("(3)", 0, 0),
+        )),
+        "DegreeTrace(degree=3, case=<TraceCase.RESIDUAL_STEP_SMALL: 'residual_step_small'>, "
+        "inequalities=(InequalityCheck(label='(1)', lhs=0, rhs=0), InequalityCheck(label='(2)', "
+        "lhs=0, rhs=0), InequalityCheck(label='(3)', lhs=0, rhs=0)))",
     ),
     "DegreeTrace": (
         _trace,
@@ -147,6 +167,21 @@ def test_fields_cannot_be_assigned(case):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     assert repr(value) == text
+
+
+def test_library_built_traces_read_by_field():
+    trace = _small_step_trace()
+    assert type(trace) is DegreeTrace
+    assert (trace.degree, trace.case) == (3, TraceCase.RESIDUAL_STEP_SMALL)
+    assert trace._fields == ("degree", "case", "inequalities")
+    for check, label in zip(trace.inequalities, ("(1)", "(2)", "(3)")):
+        assert type(check) is InequalityCheck
+        assert (check.label, check.lhs, check.rhs, check.holds) == (label, 0, 0, True)
+        assert check._asdict() == {"label": label, "lhs": 0, "rhs": 0}
+    assert trace._replace(degree=4) == (4, trace.case, trace.inequalities)
+    (check,) = _trace().inequalities
+    assert (check.label, check.lhs, check.rhs, check.holds) == ("(1)", 1, 2, True)
+    assert check[1:] == (1, 2)
 
 
 def test_hvector_is_not_a_tuple():
