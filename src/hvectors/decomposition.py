@@ -6,15 +6,14 @@ j, ..., e so that the remainder is again a legal growth sequence.  For
 codimension-3 symmetric vectors, existence of such a decomposition with
 pivot 1 forces unimodality and the concavity inequalities verified below;
 exhaustive absence of one certifies that a symmetric non-SI vector cannot
-be Gorenstein.  Both searches hand h to the one growth walker, which
-builds the subtrahend's first half in lex order and itself tests the
-residual step at either end that each half fixes, dropping a half as soon
-as one breaks.  That leaves one residual step to test per candidate, the
-middle one of an odd subtrahend socle (_middle_step_violation).  Decompose
-returns the lex-first subtrahend whose residual obeys growth; refute
-certifies that none does by listing every dropped first half with the
-degree of its broken step, and every full candidate whose middle step
-breaks.
+be Gorenstein.  Both searches hand h to _subtrahends, which yields
+exactly the valid subtrahends in lex order: it tests the residual steps
+up to the pivot once, and the one growth walker builds the subtrahend's
+first half and tests every step past it, the step at either end that
+each half fixes and, at a full half, the middle step of an odd socle.
+Decompose returns the first subtrahend yielded; refute certifies that
+none is, by listing every first half and full candidate the walk drops
+with the degree of its broken step.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from itertools import repeat
 from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
-from .binomials import macaulay_bound
 from .enumeration import _grow, mirror
 from .errors import (
     InfeasibleSearchError,
@@ -32,7 +30,7 @@ from .errors import (
     TraceViolationError,
     UnsupportedCodimensionError,
 )
-from .sequences import HVector, _growth_violation, is_differentiable
+from .sequences import HVector, _growth_violation, is_differentiable, is_si_sequence
 
 
 # Entries a refutation certificate may list before the search gives up.
@@ -97,27 +95,31 @@ def _subtrahends(
     pivot: int,
     on_dead: Callable[[tuple[int, ...], int], None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """SI-sequences (1, a_1, ..., a_{e-pivot}) fitting under h, minus those of dead first halves.
+    """The SI-sequences (1, a_1, ..., a_{e-pivot}) whose shift leaves h a growth-legal residual.
 
-    These are the candidate subtrahends after re-indexing: an SI-sequence
-    of small codimension is a Gorenstein h-vector.  The codimension a_1 is
+    These are the valid subtrahends after re-indexing: an SI-sequence of
+    small codimension is a Gorenstein h-vector.  The codimension a_1 is
     bounded by the caps alone; for a symmetric codimension-3 h at pivot 1
     it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family is
     exhaustive in that regime.  A first half never decreases, so each
     a_k is capped by the smallest cap from k on; then every prefix the
-    walk builds extends to a candidate.  Candidates come in ascending
-    lexicographic order.  The walker tests the residual itself, and
-    `on_dead(half, degree)`, when given, hears of each first half it drops,
-    with the end degree of the residual step the half breaks.  So every
-    residual step ending past the pivot holds for a candidate, except the
-    middle step of an odd socle, which no half fixes alone
-    (_middle_step_violation tests it); the steps ending at or before the
-    pivot are the same for every candidate, and are the caller's.
+    walk builds extends to a candidate.  They come in ascending lex order.
+    Each residual starts (h_0, ..., h_{pivot-1}, h_pivot - 1), as a_0 = 1,
+    so the steps up to the pivot are tested once, on that prefix; the
+    walker tests every step past it, and `on_dead(entry, degree)`, when
+    given, hears of each first half, or odd-socle subtrahend, it drops,
+    with the end degree of the step that breaks.  At socle <= 1 there is
+    one candidate and no walk, and its whole residual is tested.  Neither
+    of those tells `on_dead`; refute, at pivot 1 and socle >= 3, meets neither.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
-    if socle <= 1:  # the only first half is (1,), with no step of its own
-        return iter((mirror((1,), socle),))
+    if socle <= 1:  # the only candidate is (1,) or (1, 1), with no half to walk
+        a = mirror((1,), socle)
+        return iter(() if _growth_violation(_residual(h, pivot, a)) is not None else (a,))
+    # the guard spares every pivot-1 call the check, whose prefix (1, h_1 - 1) has no step
+    if pivot > 1 and _growth_violation(values[:pivot] + (values[pivot] - 1,)) is not None:
+        return iter(())
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]; k runs socle//2..0
     fronts, mirrors = values[pivot + socle // 2 : pivot - 1 : -1], values[-1 - socle // 2 :]
     caps = []
@@ -137,28 +139,6 @@ def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int,
     return h.entries[:pivot] + tuple(map(sub, h.entries[pivot:], subtrahend))
 
 
-def _middle_step_violation(
-    values: tuple[int, ...], pivot: int, subtrahend: tuple[int, ...]
-) -> int | None:
-    """End degree of the residual's middle step when it breaks growth, else None.
-
-    For a candidate from _subtrahends, whose walk has tested every other
-    step past the pivot, this is the end degree of the only one that can
-    break.  The front steps end at pivot+1..pivot+socle//2 and the mirror
-    steps at pivot+socle-socle//2+1..pivot+socle: for an even socle they
-    meet, and for an odd socle 2m+1 the step ending at pivot+m+1 is left,
-    with both its degrees losing a_m = a_{m+1}.
-    """
-    if len(subtrahend) % 2:  # an even socle
-        return None
-    middle = len(subtrahend) // 2  # m + 1
-    end = pivot + middle
-    a = subtrahend[middle]
-    if values[end] - a > macaulay_bound(values[end - 1] - a, end - 1):
-        return end
-    return None
-
-
 def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition | None:
     """Search for a decomposition at the given pivot; None when none exists.
 
@@ -175,17 +155,11 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
         raise ValueError(f"no pivot exists at socle degree 0, got {pivot}")
     if not 1 <= pivot <= h.socle_degree:
         raise ValueError(f"pivot must lie in 1..{h.socle_degree}, got {pivot}")
-    # every residual starts (h_0, ..., h_{pivot-1}, h_pivot - 1), since a_0 = 1; a
-    # prefix that already breaks growth leaves no candidate to walk (empty at pivot 1)
-    if pivot > 1 and _growth_violation(h.entries[:pivot] + (h.entries[pivot] - 1,)) is not None:
+    # valid subtrahends arrive in ascending lexicographic order, so the first wins
+    subtrahend = next(_subtrahends(h, pivot), None)
+    if subtrahend is None:
         return None
-    # candidates arrive in ascending lexicographic order, so first valid wins
-    values = h.entries
-    for subtrahend in _subtrahends(h, pivot):
-        if _middle_step_violation(values, pivot, subtrahend) is None:
-            residual = _residual(h, pivot, subtrahend)
-            return tuple.__new__(PivotDecomposition, (pivot, subtrahend, residual))
-    return None
+    return tuple.__new__(PivotDecomposition, (pivot, subtrahend, _residual(h, pivot, subtrahend)))
 
 
 def refute_non_si(h: HVector) -> RefutationReport:
@@ -193,8 +167,8 @@ def refute_non_si(h: HVector) -> RefutationReport:
 
     `refuted` lists, in walk order, each dead first half with the end
     degree of the step it breaks, standing for every candidate that starts
-    with it, and each full candidate with the end degree of its residual's
-    first illegal step, which is the middle one.
+    with it, and each full candidate with the end degree of its broken
+    middle step.
     A surviving candidate would contradict the codimension-3
     classification and is surfaced as a loud implementation-bug signal.
     Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET entries.
@@ -219,12 +193,8 @@ def refute_non_si(h: HVector) -> RefutationReport:
         # tuple.__new__ builds the entry at C level, past the NamedTuple's Python __new__
         refuted.append(tuple.__new__(RefutedCandidate, (entry, degree)))
 
-    for subtrahend in _subtrahends(h, 1, refute):
-        degree = _middle_step_violation(values, 1, subtrahend)
-        if degree is None:
-            survivors.append(subtrahend)
-        else:
-            refute(subtrahend, degree)
+    for subtrahend in _subtrahends(h, 1, refute):  # one by one, so the budget counts each
+        survivors.append(subtrahend)
     return tuple.__new__(RefutationReport, (h, tuple(refuted), tuple(survivors)))
 
 
@@ -297,10 +267,7 @@ def _check_decomposition(h: HVector, decomposition: PivotDecomposition) -> None:
         raise PreconditionViolatedError("subtrahend length does not match the input")
     if subtrahend[0] != 1:
         raise PreconditionViolatedError("subtrahend must start with 1")
-    # the SI test: symmetric, with a differentiable first half
-    if subtrahend != subtrahend[::-1] or not is_differentiable(
-        subtrahend[: (len(subtrahend) + 1) // 2]
-    ):
+    if not is_si_sequence(subtrahend):
         raise PreconditionViolatedError("subtrahend is not an SI-sequence")
     if residual != _residual(h, 1, subtrahend):
         raise PreconditionViolatedError("residual does not match h minus the subtrahend")

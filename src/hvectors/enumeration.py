@@ -64,7 +64,12 @@ def _grow(
     when a_{k-1} < h_f - macaulay_bound(h_{f-1} - a_{k-2}, f-1), the
     level's floor.  The children below the floor, which come first in lex
     order, go to `on_dead` at once, and the level's range starts at the
-    floor.  `first` must then be a range.
+    floor.  `first` must then be a range.  For an odd socle 2m+1, a full
+    half must also keep the middle step, ending at pivot+m+1, whose two
+    degrees both lose a_m = a_{m+1}: the front step into a child equal to
+    a_m.  A half that breaks it goes to `on_dead` as its whole subtrahend,
+    mirror(half, socle).  So every residual step ending past the pivot
+    holds for each half yielded.
     """
     values, pivot, socle = residual or ((), 0, 0)
     path = [1, 0]
@@ -92,6 +97,13 @@ def _grow(
                     del stack[-1], path[-1]  # no later sibling passes: its bound never rises
                     break
             if d == len(caps):
+                if socle % 2:
+                    # middle step of an odd socle: the front step into a child equal to value
+                    f = pivot + d
+                    if values[f] - value > macaulay_bound(values[f - 1] - value, f - 1):
+                        if on_dead:
+                            on_dead(mirror(tuple(path), socle), f)
+                        continue
                 yield tuple(path)
                 continue
             if cumulative:

@@ -9,7 +9,6 @@ first so that output is deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
 from typing import NamedTuple, Sequence
@@ -26,23 +25,12 @@ def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]
 
     It feeds the oracles (_divisor_masks, max_growth_bruteforce,
     complete_intersection_table), which need whole degrees; a lex
-    realization builds only the levels it keeps, with _held_final_segment.
-
-    Each monomial comes from a non-decreasing word of d variable indices,
-    and combinations_with_replacement yields those words in ascending lex
-    order.  Where two words first differ, the smaller one takes an earlier
-    variable, and neither takes any earlier variable after that point; so
-    its monomial has the same exponents before that variable and a higher
-    one on it, which makes it the larger monomial.  The words in the order
-    given therefore list the monomials largest first.
+    realization takes only the levels it keeps.  A whole degree is the
+    full final lex segment, C(r+d-1, d) monomials (one at r = d = 0, none
+    at r = 0 < d), held like any other by _held_final_segment.
     """
-    result: list[Monomial] = []
-    for word in combinations_with_replacement(range(num_variables), degree):
-        exponents = [0] * num_variables
-        for variable in word:
-            exponents[variable] += 1
-        result.append(tuple(exponents))
-    return tuple(result)
+    size = comb(num_variables + degree - 1, degree) if num_variables > 0 else int(degree == 0)
+    return _held_final_segment(num_variables, degree, size)
 
 
 def divisors(monomial: Monomial) -> tuple[Monomial, ...]:

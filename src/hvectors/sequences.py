@@ -227,7 +227,9 @@ def si_violations(seq: Sequence[int]) -> tuple[Reason, ...]:
 
 
 def is_si_sequence(seq: Sequence[int]) -> bool:
-    return not si_violations(seq)
+    """not si_violations(seq), and raising as it does: differentiability is tested first."""
+    entries = tuple(seq)
+    return is_differentiable(first_half(entries)) and entries == entries[::-1]
 
 
 class SequenceFilter(Enum):

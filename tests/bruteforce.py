@@ -161,25 +161,26 @@ def naive_residual(h: Sequence[int], pivot: int, a: Sequence[int]) -> tuple[int,
     return tuple(x - (a[d - pivot] if d >= pivot else 0) for d, x in enumerate(h))
 
 
-def naive_refutes(h: Sequence[int], entry: Sequence[int], degree: int) -> bool:
-    """Whether a pivot-1 refutation entry rules out every candidate it stands for.
+def naive_refutes(h: Sequence[int], entry: Sequence[int], degree: int, pivot: int = 1) -> bool:
+    """Whether a refutation entry at the pivot rules out every candidate it stands for.
 
-    An entry of length e is a palindromic subtrahend whose residual breaks
-    growth.  A shorter entry is a first half (a_0, ..., a_{k-1}): it fixes
-    the residual at degrees 1+j and e-j for j < k, so the residual must be
-    fixed at `degree` and `degree - 1`, and that step must break naive_bound.
+    An entry of length e - pivot + 1 is a palindromic subtrahend.  A shorter
+    entry is a first half (a_0, ..., a_{k-1}): it fixes the residual at
+    degrees pivot+j and e-j for j < k.  Either way the residual must be
+    fixed at `degree - 1` and `degree`, past the pivot, and the step between
+    them must break naive_bound.
     """
     e = len(h) - 1
     entry = tuple(entry)
-    if len(entry) == e:
-        return entry == entry[::-1] and not naive_obeys_growth(naive_residual(h, 1, entry))
-    if not 2 <= len(entry) <= (e - 1) // 2 + 1:
+    fixed = {pivot + j: h[pivot + j] - a for j, a in enumerate(entry)}
+    if len(entry) == e - pivot + 1:
+        if entry != entry[::-1]:
+            return False
+    elif 2 <= len(entry) <= (e - pivot) // 2 + 1:
+        fixed.update({e - j: h[e - j] - a for j, a in enumerate(entry)})
+    else:
         return False
-    fixed = {}
-    for j, a in enumerate(entry):
-        fixed[1 + j] = h[1 + j] - a
-        fixed[e - j] = h[e - j] - a
-    if degree not in fixed or degree - 1 not in fixed or degree < 2:
+    if degree <= pivot or degree - 1 not in fixed or degree not in fixed:
         return False
     return fixed[degree] > naive_bound(fixed[degree - 1], degree - 1)
 

@@ -244,6 +244,30 @@ class TestSISequence:
         reasons = si_violations((1, 3, 4, 1))
         assert ReasonKind.NOT_SYMMETRIC in {r.kind for r in reasons}
 
+    @given(
+        st.lists(st.integers(-2, 6), max_size=5).map(lambda tail: [1, *tail])
+        | st.lists(st.integers(-2, 6), max_size=6),
+        st.sampled_from([None, 0, 1]),
+        st.integers(0, 2),
+    )
+    @example([], None, 0)
+    @example([], None, 2)
+    @example([1, -1], 0, 0)
+    @example([1, 3, 3], 1, 0)
+    @example([1, 3, 3], 1, 1)
+    def test_is_si_sequence_is_the_negation_of_si_violations(self, half, mirror, zeros):
+        # any int list, empty, negative or with a zero tail: the same answer or the same error;
+        # a half is kept as it is, or mirrored to an odd (0) or even (1) socle degree
+        seq = half + ([] if mirror is None else half[::-1][mirror:]) + [0] * zeros
+
+        def outcome(test):
+            try:
+                return test(seq)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(is_si_sequence) == outcome(lambda seq: not si_violations(seq)), seq
+
 
 class TestClassifier:
     def test_codim3_not_gorenstein(self):
