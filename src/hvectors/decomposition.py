@@ -6,31 +6,26 @@ j, ..., e so that the remainder is again a legal growth sequence.  For
 codimension-3 symmetric vectors, existence of such a decomposition with
 pivot 1 forces unimodality and the concavity inequalities verified below;
 exhaustive absence of one certifies that a symmetric non-SI vector cannot
-be Gorenstein.  Both searches hand h to _subtrahends, which yields
-exactly the valid subtrahends in lex order: it tests the residual steps
-up to the pivot once, and the one growth walker builds the subtrahend's
-first half and tests every step past it, the step at either end that
-each half fixes and, at a full half, the middle step of an odd socle.
-Decompose returns the first subtrahend yielded; refute certifies that
-none is, by listing every first half and full candidate the walk drops
-with the degree of its broken step.
+be Gorenstein.  Both searches walk the candidates with _subtrahends,
+which holds the rule for which residual steps a subtrahend must pass:
+decompose returns the first one it yields, and refute certifies that it
+yields none, listing each candidate it drops.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
 from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
-from .enumeration import _grow, mirror
+from .binomials import macaulay_bound
 from .errors import (
     InfeasibleSearchError,
     PreconditionViolatedError,
     TraceViolationError,
     UnsupportedCodimensionError,
 )
-from .sequences import HVector, _growth_violation, is_differentiable, is_si_sequence
+from .sequences import HVector, _growth_violation, is_differentiable, is_si_sequence, mirror
 
 
 # Entries a refutation certificate may list before the search gives up.
@@ -97,29 +92,39 @@ def _subtrahends(
 ) -> Iterator[tuple[int, ...]]:
     """The SI-sequences (1, a_1, ..., a_{e-pivot}) whose shift leaves h a growth-legal residual.
 
-    These are the valid subtrahends after re-indexing: an SI-sequence of
-    small codimension is a Gorenstein h-vector.  The codimension a_1 is
-    bounded by the caps alone; for a symmetric codimension-3 h at pivot 1
-    it is at most min(h_2, h_{e-1}) = min(h_2, 3), so the family is
-    exhaustive in that regime.  A first half never decreases, so each
-    a_k is capped by the smallest cap from k on; then every prefix the
-    walk builds extends to a candidate.  They come in ascending lex order.
+    These are the valid subtrahends after re-indexing (an SI-sequence of
+    small codimension is a Gorenstein h-vector), in ascending lex order.
+    For a symmetric codimension-3 h at pivot 1, a_1 <= min(h_2, h_{e-1}) =
+    min(h_2, 3), so the family is exhaustive in that regime.
+
     Each residual starts (h_0, ..., h_{pivot-1}, h_pivot - 1), as a_0 = 1,
-    so the steps up to the pivot are tested once, on that prefix; the
-    walker tests every step past it, and `on_dead(entry, degree)`, when
-    given, hears of each first half, or odd-socle subtrahend, it drops,
-    with the end degree of the step that breaks.  At socle <= 1 there is
-    one candidate and no walk, and its whole residual is tested.  Neither
-    of those tells `on_dead`; refute, at pivot 1 and socle >= 3, meets neither.
+    so the steps up to the pivot are tested once, on that prefix.  The walk
+    grows the first half on first differences, each a_k capped by the
+    least h_{pivot+j}, h_{pivot+socle-j} over j >= k, as a half never
+    decreases.  A child (1, ..., a_{k-1}) fixes the residual at degrees
+    pivot..pivot+k-1 and their mirror images, so it must keep the front
+    step, ending at f = pivot+k-1, and the mirror step, ending at
+    pivot+socle-k+2, within growth, or it dies with its extensions.  It
+    breaks the front step exactly when a_{k-1} is below its level's floor
+    h_f - macaulay_bound(h_{f-1} - a_{k-2}, f-1).  For an odd socle 2m+1, a
+    full half must also keep the middle step, ending at pivot+m+1: the
+    front step into a child equal to a_m = a_{m+1}.  So every residual step
+    holds for each subtrahend yielded.  `on_dead(entry, degree)`, when
+    given, hears of each dead half, and each full subtrahend whose middle
+    step breaks, with the end degree of that step.  At socle <= 1 the one
+    candidate's whole residual is tested.  Neither that nor the prefix test
+    tells `on_dead`; refute, at pivot 1 and socle >= 3, meets neither.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
     if socle <= 1:  # the only candidate is (1,) or (1, 1), with no half to walk
         a = mirror((1,), socle)
-        return iter(() if _growth_violation(_residual(h, pivot, a)) is not None else (a,))
+        if _growth_violation(_residual(h, pivot, a)) is None:
+            yield a
+        return
     # the guard spares every pivot-1 call the check, whose prefix (1, h_1 - 1) has no step
     if pivot > 1 and _growth_violation(values[:pivot] + (values[pivot] - 1,)) is not None:
-        return iter(())
+        return
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]; k runs socle//2..0
     fronts, mirrors = values[pivot + socle // 2 : pivot - 1 : -1], values[-1 - socle // 2 :]
     caps = []
@@ -131,8 +136,54 @@ def _subtrahends(
             cap = back
         caps.append(cap)
     caps.reverse()
-    halves = _grow(range(1, caps[1] + 1), caps, True, (values, pivot, socle), on_dead)
-    return map(mirror, halves, repeat(socle))
+    path = [1, 0]
+    low, high = 1, caps[1] + 1
+    f = pivot + 1  # the first level's floor, inline as each later level's below
+    floor = values[f] - macaulay_bound(values[f - 1] - 1, f - 1)
+    if floor > low:
+        if on_dead:
+            for path[-1] in range(low, min(floor, high)):
+                on_dead(tuple(path), f)
+        low = floor
+    stack = [iter(range(low, high))]
+    while stack:
+        for value in stack[-1]:
+            path[-1] = value
+            d = len(path)
+            # mirror step: residual degrees f-1, f lose value, path[-2]
+            f = pivot + socle - d + 2
+            if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
+                if on_dead:
+                    on_dead(tuple(path), f)
+                    continue
+                del stack[-1], path[-1]  # no later sibling passes: its bound never rises
+                break
+            if d == len(caps):
+                if socle % 2:
+                    # middle step of an odd socle: the front step into a child equal to value
+                    f = pivot + d
+                    if values[f] - value > macaulay_bound(values[f - 1] - value, f - 1):
+                        if on_dead:
+                            on_dead(mirror(tuple(path), socle), f)
+                        continue
+                yield mirror(tuple(path), socle)
+                continue
+            low = value
+            high = min(value + macaulay_bound(value - path[-2], d - 1), caps[d]) + 1
+            path.append(0)
+            # front step: residual degrees f-1, f lose value and the child
+            f = pivot + d
+            floor = values[f] - macaulay_bound(values[f - 1] - value, f - 1)
+            if floor > low:
+                if on_dead:
+                    for path[-1] in range(low, min(floor, high)):
+                        on_dead(tuple(path), f)
+                low = floor
+            stack.append(iter(range(low, high)))
+            break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def _residual(h: HVector, pivot: int, subtrahend: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,13 +216,12 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
 def refute_non_si(h: HVector) -> RefutationReport:
     """Certify that no pivot-1 subtrahend leaves a growth-legal residual.
 
-    `refuted` lists, in walk order, each dead first half with the end
-    degree of the step it breaks, standing for every candidate that starts
-    with it, and each full candidate with the end degree of its broken
-    middle step.
-    A surviving candidate would contradict the codimension-3
-    classification and is surfaced as a loud implementation-bug signal.
-    Raises InfeasibleSearchError past REFUTE_CANDIDATE_BUDGET entries.
+    `refuted` lists what _subtrahends drops, in walk order, each entry with
+    the end degree of its broken step; a first half stands for every
+    candidate that starts with it.  A surviving candidate would contradict
+    the codimension-3 classification and is surfaced as a loud
+    implementation-bug signal.  Raises InfeasibleSearchError past
+    REFUTE_CANDIDATE_BUDGET entries.
     """
     if h.codimension != 3:
         raise PreconditionViolatedError(

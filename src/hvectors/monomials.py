@@ -19,6 +19,9 @@ from .sequences import HVector, _growth_violation
 
 Monomial = tuple[int, ...]
 
+# Nodes max_growth_bruteforce may visit before the search gives up.
+MAX_GROWTH_NODE_BUDGET = 10_000_000
+
 
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in the given variables, largest first.
@@ -27,8 +30,11 @@ def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]
     complete_intersection_table), which need whole degrees; a lex
     realization takes only the levels it keeps.  A whole degree is the
     full final lex segment, C(r+d-1, d) monomials (one at r = d = 0, none
-    at r = 0 < d), held like any other by _held_final_segment.
+    at r = 0 < d), held like any other by _held_final_segment.  Raises
+    ValueError when either argument is negative.
     """
+    if num_variables < 0 or degree < 0:
+        raise ValueError(f"num_variables and degree must be >= 0, got {num_variables}, {degree}")
     size = comb(num_variables + degree - 1, degree) if num_variables > 0 else int(degree == 0)
     return _held_final_segment(num_variables, degree, size)
 
@@ -259,9 +265,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     return SocleVector(tuple(entries))
 
 
-def max_growth_bruteforce(
-    n: int, i: int, r: int, *, node_budget: int = 10_000_000
-) -> int:
+def max_growth_bruteforce(n: int, i: int, r: int) -> int:
     """Largest possible degree-(i+1) count over all n-element degree-i survivor sets.
 
     Maximizes, over n-subsets S of the degree-i monomials in r variables,
@@ -288,7 +292,7 @@ def max_growth_bruteforce(
     t but not t.  The image of T would then hold all of C and the image of
     t, which lies above t and outside C, so its descending list would be
     lex-larger than T's: a contradiction.  So that branch obeys the rule.
-    Raises InfeasibleSearchError past the node budget.
+    Raises InfeasibleSearchError past MAX_GROWTH_NODE_BUDGET nodes.
     """
     if n < 1 or i < 1 or r < 1:
         raise ValueError(f"needs n, i, r >= 1, got n={n}, i={i}, r={r}")
@@ -304,6 +308,7 @@ def max_growth_bruteforce(
         for mask, m in zip(_divisor_masks(r, i + 1), monomials_of_degree(r, i + 1))
         if mask.bit_count() <= n
     ]
+    node_budget = MAX_GROWTH_NODE_BUDGET
     best, nodes = _most_covered(candidates, (1 << r - 1) - 1, 0, 0, 0, 0, n, node_budget)
     if nodes > node_budget:
         raise InfeasibleSearchError(f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes")

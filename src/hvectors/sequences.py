@@ -184,6 +184,13 @@ def first_half(seq: Sequence[int]) -> tuple[int, ...]:
     return entries[: e // 2 + 1]
 
 
+def mirror(prefix: tuple[int, ...], socle_degree: int) -> tuple[int, ...]:
+    """The symmetric vector of the given socle degree whose first half is the prefix."""
+    if socle_degree % 2:
+        return prefix + prefix[::-1]
+    return prefix + prefix[-2::-1]
+
+
 class Verdict(Enum):
     GORENSTEIN = "Gorenstein"
     NOT_GORENSTEIN = "NotGorenstein"

@@ -39,7 +39,7 @@ from hvectors import (
 from hvectors import decomposition
 from hvectors.cli import main
 from hvectors.decomposition import _residual, _subtrahends
-from hvectors.enumeration import mirror
+from hvectors.sequences import mirror
 
 
 def assert_covers_naive_family(h, report):
@@ -191,6 +191,25 @@ class TestFind:
         assert calls == 133_355
         assert digest.hexdigest() == (
             "2be61e3afec0d9413152b491d8230db44b027ca35658ffc21721c0eb8df42af8"
+        )
+
+    def test_listener_events_at_every_pivot_keep_their_frozen_values(self):
+        # SHA-256 of what _subtrahends(h, p, listener) hears and yields for p = 1..e on the
+        # symmetric e <= 8, cap-25 codimension-3 box, frozen before the subtrahend walk moved
+        # out of enumeration._grow; refute's digests see the listener at pivot 1 only
+        digest = hashlib.sha256()
+        events = 0
+        for e in range(2, 9):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                hv = HVector(h)
+                for pivot in range(1, e + 1):
+                    heard = []
+                    yielded = list(_subtrahends(hv, pivot, lambda *entry: heard.append(entry)))
+                    digest.update(repr((h, pivot, heard, yielded)).encode() + b"\n")
+                    events += len(heard)
+        assert events == 66_078
+        assert digest.hexdigest() == (
+            "6a1253388d40c8781fb5f91b8719d207bf297bbc8ba40a8ed7193c9093158746"
         )
 
     def test_a_residual_prefix_past_the_bound_ends_the_search_at_once(self):

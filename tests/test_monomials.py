@@ -59,6 +59,18 @@ class TestMonomialBasics:
             for d in range(7):
                 assert list(monomials_of_degree(r, d)) == exponent_vectors(r, d)[::-1], (r, d)
 
+    @pytest.mark.parametrize("r, d, level", [
+        (2, -1, None), (0, -1, None), (-1, 2, None), (-1, 0, None), (0, 0, ((),)), (0, 3, ()),
+    ])
+    def test_negative_arguments_are_refused_before_anything_is_held(self, monkeypatch, r, d, level):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        if level is not None:
+            assert monomials_of_degree(r, d) == level
+            return
+        with pytest.raises(ValueError, match=rf"must be >= 0, got {r}, {d}$"):
+            monomials_of_degree(r, d)
+        assert monomials._held_segments == {}
+
     def test_divisors(self):
         assert divisors((2, 0, 1)) == ((1, 0, 1), (2, 0, 0))
         assert divisors((0, 0, 0)) == ()
@@ -476,9 +488,10 @@ class TestMaxGrowth:
                 else:
                     assert max_growth_bruteforce(n, i, r) == expected, (n, i, r)
 
-    def test_symmetry_pruning_reaches_every_pick(self):
+    def test_symmetry_pruning_reaches_every_pick(self, monkeypatch):
         # pruning only the first pick needs 44,219 nodes here
-        assert max_growth_bruteforce(6, 3, 6, node_budget=10_000) == 7
+        monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", 10_000)
+        assert max_growth_bruteforce(6, 3, 6) == 7
 
     def test_search_leaves_no_cyclic_garbage(self):
         # reference counting alone frees what the search built, so the collector has nothing to do
@@ -490,9 +503,10 @@ class TestMaxGrowth:
         finally:
             gc.enable()
 
-    def test_budget_is_enforced(self):
-        with pytest.raises(InfeasibleSearchError):
-            max_growth_bruteforce(6, 3, 6, node_budget=10)
+    def test_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", 10)
+        with pytest.raises(InfeasibleSearchError, match="^search for n=6, i=3, r=6 exceeded 10 nodes$"):
+            max_growth_bruteforce(6, 3, 6)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -61,8 +61,8 @@ EVERY_COMMAND = {"hvectors", "hvectors.cli", "hvectors.errors", "hvectors.sequen
     (["expand", "5", "2"], set()),
     (["check", "1,3,3,1"], set()),
     (["classify", "1,3,3,1"], set()),
-    (["decompose", "1,3,4,3,1"], {"decomposition", "enumeration"}),
-    (["refute", "1,3,6,6,5,6,6,3,1"], {"decomposition", "enumeration"}),
+    (["decompose", "1,3,4,3,1"], {"decomposition"}),
+    (["refute", "1,3,6,6,5,6,6,3,1"], {"decomposition"}),
     (["realize", "1,3,3,1"], {"monomials"}),
     (["socle", "1,3,3,1"], {"monomials"}),
     (["enumerate", "--degree", "3", "--codim", "3"], {"enumeration"}),
