@@ -185,17 +185,17 @@ def _cmd_classify(h: HVector, args) -> int:
     report = classify_gorenstein(h)
     if args.json:
         certificate = {
-            "verdict": report.verdict.value,
+            "verdict": report.verdict._value_,  # an instance read; .value is a property call
             "codimension": report.codimension,
             "reasons": [
-                {"kind": reason.kind.value, "degree": reason.degree}
+                {"kind": reason.kind._value_, "degree": reason.degree}
                 for reason in report.reasons
             ],
         }
         print(_json_report(h, certificate))
     else:
         print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
-        print(f"verdict: {report.verdict.value}")
+        print(f"verdict: {report.verdict._value_}")
         print(f"reasons: {'; '.join(str(r) for r in report.reasons)}")
     return {
         Verdict.GORENSTEIN: EXIT_OK,
@@ -234,7 +234,7 @@ def _cmd_decompose(h: HVector, args) -> int:
             "traces": [
                 {
                     "degree": degree,
-                    "case": case.value,
+                    "case": case._value_,
                     "inequalities": [
                         {"label": label, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
                         for label, lhs, rhs in inequalities
@@ -253,7 +253,7 @@ def _cmd_decompose(h: HVector, args) -> int:
                 f"{label}: {lhs} <= {rhs} {'ok' if lhs <= rhs else 'FAIL'}"
                 for label, lhs, rhs in inequalities
             )
-            lines.append(f"trace degree {degree}: case {case.value}; {checks}")
+            lines.append(f"trace degree {degree}: case {case._value_}; {checks}")
         print("\n".join(lines))
     return EXIT_OK
 

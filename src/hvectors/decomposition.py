@@ -9,14 +9,14 @@ exhaustive absence of one certifies that a symmetric non-SI vector cannot
 be Gorenstein.  Both searches walk the candidates with _subtrahends,
 which holds the rule for which residual steps a subtrahend must pass:
 decompose returns the first one it yields, and refute certifies that it
-yields none, listing each candidate it drops.
+yields none with the certificate the walk writes of each candidate it drops.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import sub
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .binomials import macaulay_bound
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     TraceViolationError,
     UnsupportedCodimensionError,
 )
-from .sequences import HVector, _growth_violation, is_differentiable, is_si_sequence, mirror
+from .sequences import HVector, _growth_violation, differentiability_violation, is_si_sequence, mirror
 
 
 # Entries a refutation certificate may list before the search gives up.
@@ -88,7 +88,7 @@ class RefutationReport(NamedTuple):
 def _subtrahends(
     h: HVector,
     pivot: int,
-    on_dead: Callable[[tuple[int, ...], int], None] | None = None,
+    certificate: list[RefutedCandidate] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """The SI-sequences (1, a_1, ..., a_{e-pivot}) whose shift leaves h a growth-legal residual.
 
@@ -106,14 +106,18 @@ def _subtrahends(
     step, ending at f = pivot+k-1, and the mirror step, ending at
     pivot+socle-k+2, within growth, or it dies with its extensions.  It
     breaks the front step exactly when a_{k-1} is below its level's floor
-    h_f - macaulay_bound(h_{f-1} - a_{k-2}, f-1).  For an odd socle 2m+1, a
-    full half must also keep the middle step, ending at pivot+m+1: the
-    front step into a child equal to a_m = a_{m+1}.  So every residual step
-    holds for each subtrahend yielded.  `on_dead(entry, degree)`, when
-    given, hears of each dead half, and each full subtrahend whose middle
-    step breaks, with the end degree of that step.  At socle <= 1 the one
-    candidate's whole residual is tested.  Neither that nor the prefix test
-    tells `on_dead`; refute, at pivot 1 and socle >= 3, meets neither.
+    h_f - macaulay_bound(h_{f-1} - a_{k-2}, f-1).  When the first level's
+    floor passes a_1's cap, every root is dead, and the walk ends before it
+    builds the caps or its stack.  For an odd socle 2m+1, a full half must
+    also keep the middle step, ending at pivot+m+1: the front step into a
+    child equal to a_m = a_{m+1}.  So every residual step holds for each
+    subtrahend yielded.  Given a `certificate` list, the walk appends to it
+    a RefutedCandidate for each dead half, and each full subtrahend whose
+    middle step breaks, with the end degree of that step; an entry past
+    REFUTE_CANDIDATE_BUDGET entries and subtrahends yielded raises
+    InfeasibleSearchError.  At socle <= 1 the one candidate's whole
+    residual is tested.  Neither that nor the prefix test writes an entry;
+    refute, at pivot 1 and socle >= 3, meets neither.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
@@ -125,6 +129,24 @@ def _subtrahends(
     # the guard spares every pivot-1 call the check, whose prefix (1, h_1 - 1) has no step
     if pivot > 1 and _growth_violation(values[:pivot] + (values[pivot] - 1,)) is not None:
         return
+    new = tuple.__new__  # builds each entry at C level, past the NamedTuple's Python __new__
+    budget = REFUTE_CANDIDATE_BUDGET  # less one for each subtrahend yielded
+    low = 1
+    f = pivot + 1  # the first level's floor, inline as each later level's below
+    floor = values[f] - macaulay_bound(values[f - 1] - 1, f - 1)
+    if floor > low:
+        # a_1 = a_{socle-1} must fit under h at degrees f..pivot+socle//2 and their mirror images
+        high = min(min(values[f : f + socle // 2]), min(values[-1 - socle // 2 : -1])) + 1
+        if certificate is not None:
+            for a in range(low, min(floor, high)):
+                certificate.append(new(RefutedCandidate, ((1, a), f)))
+            if len(certificate) > budget:
+                raise InfeasibleSearchError(
+                    f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
+                )
+        if floor >= high:  # every root is dead
+            return
+        low = floor
     # a_k = a_{socle-k} must fit under both h[pivot+k] and h[pivot+socle-k]; k runs socle//2..0
     fronts, mirrors = values[pivot + socle // 2 : pivot - 1 : -1], values[-1 - socle // 2 :]
     caps = []
@@ -137,15 +159,7 @@ def _subtrahends(
         caps.append(cap)
     caps.reverse()
     path = [1, 0]
-    low, high = 1, caps[1] + 1
-    f = pivot + 1  # the first level's floor, inline as each later level's below
-    floor = values[f] - macaulay_bound(values[f - 1] - 1, f - 1)
-    if floor > low:
-        if on_dead:
-            for path[-1] in range(low, min(floor, high)):
-                on_dead(tuple(path), f)
-        low = floor
-    stack = [iter(range(low, high))]
+    stack = [iter(range(low, caps[1] + 1))]
     while stack:
         for value in stack[-1]:
             path[-1] = value
@@ -153,34 +167,42 @@ def _subtrahends(
             # mirror step: residual degrees f-1, f lose value, path[-2]
             f = pivot + socle - d + 2
             if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
-                if on_dead:
-                    on_dead(tuple(path), f)
-                    continue
-                del stack[-1], path[-1]  # no later sibling passes: its bound never rises
+                if certificate is None:
+                    del stack[-1], path[-1]  # no later sibling passes: its bound never rises
+                    break
+                entry = tuple(path)
+            elif d < len(caps):
+                low = value
+                high = min(value + macaulay_bound(value - path[-2], d - 1), caps[d]) + 1
+                path.append(0)
+                # front step: residual degrees f-1, f lose value and the child
+                f = pivot + d
+                floor = values[f] - macaulay_bound(values[f - 1] - value, f - 1)
+                if floor > low:
+                    if certificate is not None:
+                        for path[-1] in range(low, min(floor, high)):
+                            certificate.append(new(RefutedCandidate, (tuple(path), f)))
+                        if len(certificate) > budget:
+                            raise InfeasibleSearchError(
+                                f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
+                            )
+                    low = floor
+                stack.append(iter(range(low, high)))
                 break
-            if d == len(caps):
-                if socle % 2:
-                    # middle step of an odd socle: the front step into a child equal to value
-                    f = pivot + d
-                    if values[f] - value > macaulay_bound(values[f - 1] - value, f - 1):
-                        if on_dead:
-                            on_dead(mirror(tuple(path), socle), f)
-                        continue
-                yield mirror(tuple(path), socle)
-                continue
-            low = value
-            high = min(value + macaulay_bound(value - path[-2], d - 1), caps[d]) + 1
-            path.append(0)
-            # front step: residual degrees f-1, f lose value and the child
-            f = pivot + d
-            floor = values[f] - macaulay_bound(values[f - 1] - value, f - 1)
-            if floor > low:
-                if on_dead:
-                    for path[-1] in range(low, min(floor, high)):
-                        on_dead(tuple(path), f)
-                low = floor
-            stack.append(iter(range(low, high)))
-            break
+            else:  # a full half, and at an odd socle its middle step
+                f = pivot + d  # the front step into a child equal to value
+                if not socle % 2 or values[f] - value <= macaulay_bound(values[f - 1] - value, f - 1):
+                    budget -= 1
+                    yield mirror(tuple(path), socle)
+                    continue
+                if certificate is None:
+                    continue
+                entry = mirror(tuple(path), socle)
+            certificate.append(new(RefutedCandidate, (entry, f)))
+            if len(certificate) > budget:
+                raise InfeasibleSearchError(
+                    f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
+                )
         else:
             stack.pop()
             path.pop()
@@ -216,36 +238,23 @@ def find_pivot_decomposition(h: HVector, pivot: int = 1) -> PivotDecomposition |
 def refute_non_si(h: HVector) -> RefutationReport:
     """Certify that no pivot-1 subtrahend leaves a growth-legal residual.
 
-    `refuted` lists what _subtrahends drops, in walk order, each entry with
-    the end degree of its broken step; a first half stands for every
-    candidate that starts with it.  A surviving candidate would contradict
-    the codimension-3 classification and is surfaced as a loud
-    implementation-bug signal.  Raises InfeasibleSearchError past
-    REFUTE_CANDIDATE_BUDGET entries.
+    `refuted` is the certificate _subtrahends writes: what it drops, in walk
+    order, each entry with the end degree of its broken step; a first half
+    stands for every candidate that starts with it.  A surviving candidate
+    would contradict the codimension-3 classification and is surfaced as a
+    loud implementation-bug signal.  Raises InfeasibleSearchError past
+    REFUTE_CANDIDATE_BUDGET entries and survivors.
     """
-    if h.codimension != 3:
-        raise PreconditionViolatedError(
-            f"refutation needs codimension 3, got {h.codimension}"
-        )
     values = h.entries
+    if len(values) < 2 or values[1] != 3:
+        raise PreconditionViolatedError(f"refutation needs codimension 3, got {h.codimension}")
     if values != values[::-1]:
         raise PreconditionViolatedError("refutation needs a symmetric input")
-    if is_differentiable(values[: (len(values) + 1) // 2]):  # the SI test, given symmetry
+    if differentiability_violation(values[: (len(values) + 1) // 2]) is None:  # SI, by symmetry
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
-    refuted = []
-    survivors = []
-
-    def refute(entry: tuple[int, ...], degree: int) -> None:
-        if len(refuted) + len(survivors) >= REFUTE_CANDIDATE_BUDGET:
-            raise InfeasibleSearchError(
-                f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
-            )
-        # tuple.__new__ builds the entry at C level, past the NamedTuple's Python __new__
-        refuted.append(tuple.__new__(RefutedCandidate, (entry, degree)))
-
-    for subtrahend in _subtrahends(h, 1, refute):  # one by one, so the budget counts each
-        survivors.append(subtrahend)
-    return tuple.__new__(RefutationReport, (h, tuple(refuted), tuple(survivors)))
+    certificate = []
+    survivors = tuple(_subtrahends(h, 1, certificate))  # the walk fills the certificate
+    return tuple.__new__(RefutationReport, (h, tuple(certificate), survivors))
 
 
 def verify_decomposition_traces(

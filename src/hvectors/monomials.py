@@ -199,7 +199,7 @@ class SocleVector(NamedTuple):
 
     @property
     def is_gorenstein(self) -> bool:
-        return all(x == 0 for x in self.entries[:-1]) and self.entries[-1] == 1
+        return self.entries[-1:] == (1,) and all(x == 0 for x in self.entries[:-1])
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.entries)

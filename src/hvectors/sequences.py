@@ -211,8 +211,8 @@ class Reason(NamedTuple):
 
     def __str__(self) -> str:
         if self.degree is None:
-            return self.kind.value
-        return f"{self.kind.value}(degree {self.degree})"
+            return self.kind._value_
+        return f"{self.kind._value_}(degree {self.degree})"
 
 
 class ClassificationReport(NamedTuple):

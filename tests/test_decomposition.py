@@ -141,8 +141,8 @@ class TestFind:
                 )
                 found = find_pivot_decomposition(HVector(h), pivot)
                 assert (found.subtrahend if found else None) == expected, (h, pivot)
-                # with no listener a level may end early, but no candidate is lost
-                heard = list(_subtrahends(HVector(h), pivot, lambda half, degree: None))
+                # with no certificate a level may end early, but no candidate is lost
+                heard = list(_subtrahends(HVector(h), pivot, []))
                 assert list(_subtrahends(HVector(h), pivot)) == heard, (h, pivot)
             if h[1] == 3 and is_symmetric(h) and not is_si_sequence(h):
                 assert_covers_naive_family(h, refute_non_si(HVector(h)))
@@ -160,7 +160,7 @@ class TestFind:
                 for pivot in range(1, e + 1):
                     socle = e - pivot
                     heard = []
-                    yielded = list(_subtrahends(hv, pivot, lambda *entry: heard.append(entry)))
+                    yielded = list(_subtrahends(hv, pivot, heard))
                     assert list(_subtrahends(hv, pivot)) == yielded, (h, pivot)
                     for a in yielded:
                         assert naive_obeys_growth(naive_residual(h, pivot, a)), (h, pivot, a)
@@ -194,17 +194,18 @@ class TestFind:
         )
 
     def test_listener_events_at_every_pivot_keep_their_frozen_values(self):
-        # SHA-256 of what _subtrahends(h, p, listener) hears and yields for p = 1..e on the
+        # SHA-256 of what _subtrahends(h, p, certificate) lists and yields for p = 1..e on the
         # symmetric e <= 8, cap-25 codimension-3 box, frozen before the subtrahend walk moved
-        # out of enumeration._grow; refute's digests see the listener at pivot 1 only
+        # out of enumeration._grow; refute's digests see the certificate at pivot 1 only
         digest = hashlib.sha256()
         events = 0
         for e in range(2, 9):
             for h in mirrored_symmetric_vectors(e, 3, 25):
                 hv = HVector(h)
                 for pivot in range(1, e + 1):
-                    heard = []
-                    yielded = list(_subtrahends(hv, pivot, lambda *entry: heard.append(entry)))
+                    certificate = []
+                    yielded = list(_subtrahends(hv, pivot, certificate))
+                    heard = [tuple(entry) for entry in certificate]
                     digest.update(repr((h, pivot, heard, yielded)).encode() + b"\n")
                     events += len(heard)
         assert events == 66_078
@@ -376,6 +377,8 @@ class TestRefute:
         (1, 3, 5, 4, 5, 3, 1),  # a dead root, then full candidates
         (1, 3, 6, 6, 5, 6, 6, 3, 1),  # dead halves and full candidates interleaved
         (1, 3, 6, 10, 9, 10, 6, 3, 1),  # dead roots and dead halves of length 3 come first
+        (1, 3, 7, 3, 1),  # only dead roots: the walk ends before it builds a stack
+        (1, 3, 7, 5, 9, 5, 7, 3, 1),  # the same at a longer socle
     ])
     def test_budget_is_the_last_entry_a_certificate_may_list(self, entries, monkeypatch):
         h = HVector(entries)

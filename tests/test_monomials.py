@@ -20,6 +20,7 @@ from hvectors import (
     HVector,
     InfeasibleSearchError,
     NotAnOSequenceError,
+    SocleVector,
     SurvivorTable,
     binom,
     complete_intersection_hvector,
@@ -166,6 +167,13 @@ class TestSocle:
             num_variables=2, per_degree=(((0, 0),), ((0, 1),), ((1, 1),))
         )
         assert socle_vector(table).entries == naive_socle(table) == (0, 0, 1)
+
+    def test_empty_socle_vector_is_not_gorenstein(self):
+        # no degree, so no top degree holding the one socle element
+        vector = socle_vector(SurvivorTable(num_variables=2, per_degree=()))
+        assert vector == SocleVector(())
+        assert not vector.is_gorenstein
+        assert not SocleVector(()).is_gorenstein
 
     @given(st.data())
     def test_matches_the_naive_oracle_on_arbitrary_tables(self, data):
