@@ -67,6 +67,11 @@ EXIT_UNDECIDED = 3
 EXIT_IMPOSSIBLE = 4
 EXIT_BUDGET = 5
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a command stopped by SIGPIPE
+_VERDICT_EXIT_CODES = {
+    Verdict.GORENSTEIN: EXIT_OK,
+    Verdict.NOT_GORENSTEIN: EXIT_NEGATIVE,
+    Verdict.UNDECIDED: EXIT_UNDECIDED,
+}
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # canonical h-vector text: such integers joined by bare commas, no whitespace
@@ -197,11 +202,7 @@ def _cmd_classify(h: HVector, args) -> int:
         print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
         print(f"verdict: {report.verdict._value_}")
         print(f"reasons: {'; '.join(str(r) for r in report.reasons)}")
-    return {
-        Verdict.GORENSTEIN: EXIT_OK,
-        Verdict.NOT_GORENSTEIN: EXIT_NEGATIVE,
-        Verdict.UNDECIDED: EXIT_UNDECIDED,
-    }[report.verdict]
+    return _VERDICT_EXIT_CODES[report.verdict]
 
 
 def _cmd_realize(h: HVector, args) -> int:

@@ -9,6 +9,7 @@ first so that output is deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
 from typing import NamedTuple, Sequence
@@ -26,12 +27,10 @@ MAX_GROWTH_NODE_BUDGET = 10_000_000
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in the given variables, largest first.
 
-    It feeds the oracles (_divisor_masks, max_growth_bruteforce,
-    complete_intersection_table), which need whole degrees; a lex
-    realization takes only the levels it keeps.  A whole degree is the
-    full final lex segment, C(r+d-1, d) monomials (one at r = d = 0, none
-    at r = 0 < d), held like any other by _held_final_segment.  Raises
-    ValueError when either argument is negative.
+    The full final lex segment, C(r+d-1, d) monomials (one at r = d = 0,
+    none at r = 0 < d), held like any other by _held_final_segment, for
+    complete_intersection_table and public callers; a lex realization takes
+    only the levels it keeps.  Raises ValueError when an argument is negative.
     """
     if num_variables < 0 or degree < 0:
         raise ValueError(f"num_variables and degree must be >= 0, got {num_variables}, {degree}")
@@ -57,18 +56,6 @@ def render_monomial(monomial: Monomial) -> str:
         elif exponent > 1:
             parts.append(f"x{i + 1}^{exponent}")
     return "*".join(parts) if parts else "1"
-
-
-def _divisor_masks(num_variables: int, degree: int) -> tuple[int, ...]:
-    """For each degree-d monomial, a bitmask of its divisors' positions in degree d-1."""
-    previous = {m: k for k, m in enumerate(monomials_of_degree(num_variables, degree - 1))}
-    masks = []
-    for monomial in monomials_of_degree(num_variables, degree):
-        mask = 0
-        for divisor in divisors(monomial):
-            mask |= 1 << previous[divisor]
-        masks.append(mask)
-    return tuple(masks)
 
 
 class SurvivorTable(NamedTuple):
@@ -241,27 +228,22 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     the count is h_d less the x_r-multiples among h_{d+1}: a function of h.
 
     Any other table goes through the probe loop: each survivor probes a set
-    of the next level upward, last variable first, and counts once all r
+    of the next level upward, once per variable, and counts when all r
     probes miss, which is exact on any table, order ideal or not, even one
     whose monomials have slots past the r-th.
     """
     levels = table.per_degree
     if isinstance(levels, _LexLevels) and len(levels[0][0]) == table.num_variables:
         return _lex_socle(tuple(map(len, levels)))
-    if table.num_variables == 0 or not levels:  # no variables, so nothing above any survivor
-        return SocleVector(tuple(len(level) for level in levels))
-    last = table.num_variables - 1
+    variables = range(table.num_variables)
     entries = []
-    for level, above in zip(levels, levels[1:]):
+    for level, above in zip(levels, (*levels[1:], ())):
         upper = set(above)
         count = 0
         for m in level:
-            if m[:last] + (m[last] + 1,) + m[last + 1 :] in upper:
-                continue
-            if not any(m[:v] + (m[v] + 1,) + m[v + 1 :] in upper for v in range(last)):
+            if not any(m[:v] + (m[v] + 1,) + m[v + 1 :] in upper for v in variables):
                 count += 1
         entries.append(count)
-    entries.append(len(levels[-1]))
     return SocleVector(tuple(entries))
 
 
@@ -292,26 +274,39 @@ def max_growth_bruteforce(n: int, i: int, r: int) -> int:
     t but not t.  The image of T would then hold all of C and the image of
     t, which lies above t and outside C, so its descending list would be
     lex-larger than T's: a contradiction.  So that branch obeys the rule.
-    Raises InfeasibleSearchError past MAX_GROWTH_NODE_BUDGET nodes.
+
+    Monomials are the index words of combinations_with_replacement, whose
+    ascending order is the term order, largest first: where two words first
+    differ, the smaller holds more of that variable, and every earlier
+    variable has equal counts in both.  A word of more than n distinct
+    indices has more than n divisors and is skipped unbuilt; divisors take
+    bits on first sight, and nothing is held.  Raises InfeasibleSearchError
+    past MAX_GROWTH_NODE_BUDGET nodes, or words (then before listing any).
     """
     if n < 1 or i < 1 or r < 1:
         raise ValueError(f"needs n, i, r >= 1, got n={n}, i={i}, r={r}")
-    lower = monomials_of_degree(r, i)
-    if len(lower) < n:
-        raise ValueError(
-            f"only {len(lower)} monomials of degree {i} in {r} variables, needs {n}"
-        )
-    # each candidate is (divisor mask, bits x with m[x] < m[x+1], bits x with m[x] == m[x+1])
-    candidates = [
-        (mask, sum(1 << x for x in range(r - 1) if m[x] < m[x + 1]),
-         sum(1 << x for x in range(r - 1) if m[x] == m[x + 1]))
-        for mask, m in zip(_divisor_masks(r, i + 1), monomials_of_degree(r, i + 1))
-        if mask.bit_count() <= n
-    ]
+    available = comb(r + i - 1, i)
+    if available < n:
+        raise ValueError(f"only {available} monomials of degree {i} in {r} variables, needs {n}")
     node_budget = MAX_GROWTH_NODE_BUDGET
+    refusal = f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes"
+    if comb(r + i, i + 1) > node_budget:
+        raise InfeasibleSearchError(refusal)
+    bits: dict[tuple[int, ...], int] = {}
+    # each candidate is (divisor mask, bits x with m[x] < m[x+1], bits x with m[x] == m[x+1])
+    candidates = []
+    for word in combinations_with_replacement(range(r), i + 1):
+        if len(set(word)) > n:
+            continue
+        mask = 0
+        for k in range(i + 1):  # a repeated index gives the same divisor again
+            mask |= 1 << bits.setdefault(word[:k] + word[k + 1 :], len(bits))
+        m = list(map(word.count, range(r)))
+        candidates.append((mask, sum(1 << x for x in range(r - 1) if m[x] < m[x + 1]),
+                           sum(1 << x for x in range(r - 1) if m[x] == m[x + 1])))
     best, nodes = _most_covered(candidates, (1 << r - 1) - 1, 0, 0, 0, 0, n, node_budget)
     if nodes > node_budget:
-        raise InfeasibleSearchError(f"search for n={n}, i={i}, r={r} exceeded {node_budget} nodes")
+        raise InfeasibleSearchError(refusal)
     return best
 
 

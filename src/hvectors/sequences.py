@@ -263,11 +263,8 @@ def classify_gorenstein(h: HVector) -> ClassificationReport:
         return ClassificationReport(Verdict.GORENSTEIN, codim, (Reason(ReasonKind.SI_WITNESS),))
     if codim <= 3:
         return ClassificationReport(Verdict.NOT_GORENSTEIN, codim, violations)
-    sym = symmetry_violation(h.entries)
-    if sym is not None:
-        return ClassificationReport(
-            Verdict.NOT_GORENSTEIN, codim, (Reason(ReasonKind.NOT_SYMMETRIC, sym),)
-        )
+    if violations[0].kind is ReasonKind.NOT_SYMMETRIC:  # si_violations lists symmetry first
+        return ClassificationReport(Verdict.NOT_GORENSTEIN, codim, violations[:1])
     growth = o_sequence_violation(h.entries)
     if growth is not None:
         return ClassificationReport(

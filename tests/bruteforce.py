@@ -195,6 +195,22 @@ def exponent_vectors(num_variables: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
+def lex_divisor_masks(num_variables: int, degree: int) -> list[int]:
+    """For each degree-d monomial, largest first, a bitmask of its divisors' lex positions.
+
+    Bit k stands for the k-th largest monomial of degree d-1.
+    """
+    previous = {m: k for k, m in enumerate(exponent_vectors(num_variables, degree - 1)[::-1])}
+    masks = []
+    for m in exponent_vectors(num_variables, degree)[::-1]:
+        mask = 0
+        for v in range(num_variables):
+            if m[v]:
+                mask |= 1 << previous[m[:v] + (m[v] - 1,) + m[v + 1 :]]
+        masks.append(mask)
+    return masks
+
+
 def naive_last_variable_multiples(
     num_variables: int, degree: int, size: int
 ) -> list[tuple[int, ...]]:

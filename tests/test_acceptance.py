@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 from random import Random
 
-from bruteforce import full_box_vectors, mirrored_symmetric_vectors
+from bruteforce import full_box_vectors, lex_divisor_masks, mirrored_symmetric_vectors
 from hvectors import (
     EnumerationSpec,
     HVector,
@@ -37,7 +37,6 @@ from hvectors import (
     verify_decomposition_traces,
 )
 from hvectors.cli import main
-from hvectors.monomials import _divisor_masks
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -103,7 +102,7 @@ def test_criterion_2_realization_iff_growth():
             def walk(degree, survivor_mask, value):
                 if degree == 6:
                     return
-                masks = _divisor_masks(r, degree + 1)
+                masks = lex_divisor_masks(r, degree + 1)
                 candidates = [
                     k for k, m in enumerate(masks) if m & survivor_mask == m
                 ]

@@ -516,6 +516,37 @@ class TestMaxGrowth:
         with pytest.raises(InfeasibleSearchError, match="^search for n=6, i=3, r=6 exceeded 10 nodes$"):
             max_growth_bruteforce(6, 3, 6)
 
+    # (n, i, r) -> (value, nodes the search visits); the node count moves with any change
+    # to the candidate order or the pruning, so it pins both as well as the answer
+    NODE_COUNTS = {(5, 2, 5): (7, 457), (6, 3, 6): (7, 5_587), (7, 3, 7): (9, 34_047)}
+
+    def test_node_counts_at_the_budget_boundary(self, monkeypatch):
+        for (n, i, r), (value, nodes) in self.NODE_COUNTS.items():
+            monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", nodes)
+            assert max_growth_bruteforce(n, i, r) == value
+            monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", nodes - 1)
+            with pytest.raises(InfeasibleSearchError, match=f"exceeded {nodes - 1} nodes$"):
+                max_growth_bruteforce(n, i, r)
+
+    def test_budget_also_bounds_the_words_listed(self, monkeypatch):
+        # C(9, 4) = 126 degree-4 monomials in 6 variables, and one node searched
+        monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", 126)
+        assert max_growth_bruteforce(1, 3, 6) == 1
+        monkeypatch.setattr(monomials, "MAX_GROWTH_NODE_BUDGET", 125)
+        with pytest.raises(InfeasibleSearchError, match="^search for n=1, i=3, r=6 exceeded 125 nodes$"):
+            max_growth_bruteforce(1, 3, 6)
+
+    def test_search_leaves_the_held_segments_as_it_found_them(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        lex_segment_realization(HVector((1, 3, 4, 2)))
+        before = dict(monomials._held_segments)
+        for n, i, r in ((1, 1, 1), (3, 1, 3), (4, 2, 4), (6, 3, 6), (2, 2, 7)):
+            max_growth_bruteforce(n, i, r)
+        assert monomials._held_segments == before
+
+    def test_forty_variables(self):
+        assert max_growth_bruteforce(1, 3, 40) == 1
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             max_growth_bruteforce(0, 1, 1)
