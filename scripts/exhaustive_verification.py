@@ -8,6 +8,7 @@ Three sweeps, any failure exits 4:
 
 With --json, each sweep prints one JSON object on its own line instead of
 its text line: sweep, max_degree, cap, checked, failures and seconds.
+A reader that closes early ends the run quietly with exit 141, as in hvec.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hvectors import (
     refute_non_si,
     verify_decomposition_traces,
 )
+from hvectors.cli import EXIT_BROKEN_PIPE, _detach_stdout
 
 
 def sweep_growth_oracle(n_max: int, i_max: int) -> tuple[int, int]:
@@ -105,4 +107,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        _detach_stdout()
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -9,7 +9,7 @@ first so that output is deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 from operator import sub
 from typing import NamedTuple, Sequence
@@ -25,17 +25,17 @@ MAX_GROWTH_NODE_BUDGET = 10_000_000
 
 
 def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in the given variables, largest first.
+    """All degree-d monomials in r variables, largest first.
 
-    The full final lex segment, C(r+d-1, d) monomials (one at r = d = 0,
-    none at r = 0 < d), held like any other by _held_final_segment, for
-    complete_intersection_table and public callers; a lex realization takes
-    only the levels it keeps.  Raises ValueError when an argument is negative.
+    C(r+d-1, d) of them (one at r = d = 0, none at r = 0 < d), one per index
+    word of combinations_with_replacement, whose order is the term order (see
+    max_growth_bruteforce); nothing is held.  Raises ValueError when an
+    argument is negative.
     """
     if num_variables < 0 or degree < 0:
         raise ValueError(f"num_variables and degree must be >= 0, got {num_variables}, {degree}")
-    size = comb(num_variables + degree - 1, degree) if num_variables > 0 else int(degree == 0)
-    return _held_final_segment(num_variables, degree, size)
+    words = combinations_with_replacement(range(num_variables), degree)
+    return tuple(tuple(map(word.count, range(num_variables))) for word in words)
 
 
 def divisors(monomial: Monomial) -> tuple[Monomial, ...]:
@@ -90,7 +90,7 @@ def _check_growth(h: HVector) -> None:
         raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
 
 
-# (r, d) -> the longest final lex segment of degree d in r variables built so far, largest first
+# (r, d) -> the longest degree-d final lex segment in r variables a lex realization asked for
 _held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 
 
@@ -220,7 +220,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
 
     The top degree has nothing above it, so all of its survivors count.
     A lex realization is known by its _LexLevels per_degree, whose degree-0
-    monomial must have num_variables slots (an O(r) check that catches the
+    monomial must have num_variables slots (an O(1) check that catches the
     container put in a table with another r).  There x_r * m is the
     smallest multiple of m, and a final segment holding any multiple of m
     holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
@@ -376,15 +376,10 @@ def complete_intersection_hvector(*exponents: int) -> HVector:
 
 
 def complete_intersection_table(*exponents: int) -> SurvivorTable:
-    """Survivors of the quotient by pure powers with the given exponents."""
+    """Survivors of the quotient by pure powers with the given exponents; nothing is held."""
     _check_exponents(exponents)
-    num_variables = len(exponents)
-    levels = tuple(
-        tuple(
-            m
-            for m in monomials_of_degree(num_variables, degree)
-            if all(e < k for e, k in zip(m, exponents))
-        )
-        for degree in range(sum(exponents) - num_variables + 1)
-    )
-    return SurvivorTable(num_variables=num_variables, per_degree=levels)
+    levels = [[] for _ in range(sum(exponents) - len(exponents) + 1)]
+    # descending ranges make product yield the survivors in the term order, largest first
+    for m in product(*(range(k - 1, -1, -1) for k in exponents)):
+        levels[sum(m)].append(m)
+    return SurvivorTable(num_variables=len(exponents), per_degree=tuple(map(tuple, levels)))

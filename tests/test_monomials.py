@@ -2,7 +2,7 @@ import copy
 import gc
 import pickle
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -427,6 +427,17 @@ class TestFinalSegments:
         r, d = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
         self.check_in_order(r, d, data.draw(st.permutations(range(1, binom(r + d - 1, d) + 1))))
 
+    def test_maximal_growth_vectors_from_nothing_held(self, monkeypatch):
+        # every level of (1, r, C(r+1, 2), ..., C(r+e-1, e)) is the whole degree, built from x_r^d;
+        # e starts at 1, since a lone 1 names no variables
+        for r in range(1, 7):
+            for e in range(1, 7):
+                monkeypatch.setattr(monomials, "_held_segments", {})
+                h = HVector(tuple(binom(r + d - 1, d) for d in range(e + 1)))
+                table = lex_segment_realization(h)
+                for d, level in enumerate(table.per_degree):
+                    assert list(level) == exponent_vectors(r, d)[::-1], (r, e, d)
+
     def test_no_variables_and_forty_variables(self):
         _held_segments.clear()
         assert lex_segment_realization(HVector((1,))).per_degree == (((),),)
@@ -578,6 +589,33 @@ class TestCompleteIntersections:
         assert h.codimension == 3
         assert is_symmetric(h.entries)
         assert is_si_sequence(h.entries)
+
+    def test_table_is_the_naive_filter_of_every_degree(self):
+        for count in range(1, 5):
+            for exponents in product(range(2, 5), repeat=count):
+                levels = tuple(
+                    tuple(
+                        m
+                        for m in exponent_vectors(count, d)[::-1]
+                        if all(e < k for e, k in zip(m, exponents))
+                    )
+                    for d in range(sum(exponents) - count + 1)
+                )
+                assert complete_intersection_table(*exponents) == SurvivorTable(count, levels), exponents
+
+    def test_listings_leave_the_held_segments_as_they_found_them(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        lex_segment_realization(HVector((1, 3, 4, 2)))
+        before = dict(monomials._held_segments)
+        for r, d in ((3, 2), (3, 5), (4, 3), (0, 0), (1, 4)):
+            monomials_of_degree(r, d)
+        for exponents in ((), (2, 2, 2), (3, 4, 2), (2, 2, 2, 2, 2)):
+            complete_intersection_table(*exponents)
+        assert monomials._held_segments == before
+
+    def test_twelve_variables(self):
+        table = complete_intersection_table(*[2] * 12)
+        assert tuple(map(len, table.per_degree)) == tuple(binom(12, d) for d in range(13))
 
     def test_vector_agrees_with_exponent_capped_table(self):
         for count in (2, 3, 4):

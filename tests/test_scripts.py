@@ -4,17 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *argv):
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_script(name, *argv):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=script_env(), timeout=120,
     )
 
 
@@ -36,3 +42,20 @@ def test_verification_campaign_json_records_match_the_text_run():
     for record in parsed:
         assert (record["max_degree"], record["cap"], record["failures"]) == (4, 25, 0)
         assert record["seconds"] >= 0
+
+
+@pytest.mark.parametrize("reads_first", [True, False], ids=["unbuffered, after one record",
+                                                            "buffered, before any record"])
+def test_verification_campaign_ends_quietly_when_its_reader_closes(reads_first):
+    # the refutation sweep at socle degree <= 10 takes long enough that its record finds the
+    # pipe closed; a buffered run meets the closed pipe at its final flush
+    flags = ["-u"] if reads_first else []
+    argv = [sys.executable, *flags, str(ROOT / "scripts" / "exhaustive_verification.py"),
+            "--max-degree", "10", "--grid-n", "1", "--grid-i", "1", "--json"]
+    with subprocess.Popen(argv, env=script_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as process:
+        if reads_first:
+            assert json.loads(process.stdout.readline())["sweep"] == "growth oracle"
+        process.stdout.close()
+        code, err = process.wait(timeout=120), process.stderr.read()
+    assert (code, err) == (141, b"")
