@@ -1,3 +1,6 @@
+import hashlib
+from enum import IntEnum
+
 import pytest
 
 from bruteforce import full_box_vectors, mirrored_symmetric_vectors
@@ -154,3 +157,90 @@ class TestUnknownFilter:
         spec = EnumerationSpec(e, 3, 25, "si")
         with pytest.raises(ValueError, match="unknown filter"):
             next(enumerate_hvectors(spec))
+
+
+class Three(IntEnum):
+    THREE = 3
+
+
+def outcomes(stream):
+    """repr of each next() of the stream, ending with 'end' or with the error that stops it."""
+    seen = []
+    while True:
+        try:
+            seen.append(repr(next(stream)))
+        except StopIteration:
+            return seen + ["end"]
+        except (TypeError, ValueError) as exc:
+            return seen + [f"{type(exc).__name__}: {exc}"]
+
+
+def count_outcome(*args):
+    try:
+        return count_by_degree(*args)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+VECTORS = 157_764
+STREAMS = "bc793a35250ddb88d1e88a1f7775e7f62444983deffdc920d92da336dd79b401"
+COUNTS = "5599fac524688830e6793559ad21e93aafec9f5574360dd43de28553c20d6a23"
+ODD = "be3965bda5b3c33a8035dcf494f00a38389c16f2d29133db646f9e7b50b83bfa"
+
+# every box of the frozen grid: r <= 4, e <= 7, caps r, r + 1 and 7, and r = 3, cap 25, e <= 8
+FROZEN_BOXES = [
+    (r, max_e, cap)
+    for r, caps, max_e in [(r, sorted({r, r + 1, 7}), 7) for r in range(1, 5)] + [(3, [25], 8)]
+    for cap in caps
+]
+
+
+class TestFrozen:
+    """SHA-256 of what the streams and counts give, frozen before the non-SI stream became the
+    complement of the SI walk and the counts came from the box."""
+
+    def test_streams_keep_their_frozen_values(self):
+        digest = hashlib.sha256()
+        vectors = 0
+        for r, max_e, cap in FROZEN_BOXES:
+            for filter in SequenceFilter:
+                for e in range(max_e + 1):
+                    seen = outcomes(enumerate_hvectors(EnumerationSpec(e, r, cap, filter)))
+                    digest.update(repr((r, cap, filter.value, e, seen)).encode() + b"\n")
+                    vectors += len(seen) - 1
+        assert vectors == VECTORS
+        assert digest.hexdigest() == STREAMS
+
+    def test_counts_keep_their_frozen_values(self):
+        digest = hashlib.sha256()
+        for r, max_e, cap in FROZEN_BOXES:
+            for filter in SequenceFilter:
+                digest.update(repr((r, cap, filter.value, count_outcome(r, max_e, cap, filter))).encode() + b"\n")
+        assert digest.hexdigest() == COUNTS
+
+    def test_odd_codimensions_keep_their_frozen_outcomes(self):
+        # a bool or float codimension fails at the stream's first next() as HVector does, or with
+        # the walk's TypeError; an IntEnum member gives plain-int entries
+        digest = hashlib.sha256()
+        for r in (True, 3.0, Three.THREE):
+            label = f"{type(r).__name__}({int(r)})"  # an IntEnum repr may differ between versions
+            for filter in SequenceFilter:
+                for cap in (1, 3, 7):
+                    if cap < r:
+                        continue
+                    for e in range(7):
+                        seen = outcomes(enumerate_hvectors(EnumerationSpec(e, r, cap, filter)))
+                        digest.update(repr((label, cap, filter.value, e, seen)).encode() + b"\n")
+                    counts = count_outcome(r, 6, cap, filter)
+                    digest.update(repr((label, cap, filter.value, counts)).encode() + b"\n")
+        assert digest.hexdigest() == ODD
+        not_si, si = SequenceFilter.SYMMETRIC_NOT_SI, SequenceFilter.SI
+        assert outcomes(enumerate_hvectors(EnumerationSpec(4, 3.0, 7, not_si))) == [
+            "ValueError: entry 3.0 at degree 1 is not an integer"
+        ]
+        assert outcomes(enumerate_hvectors(EnumerationSpec(4, 3.0, 7, si))) == [
+            "TypeError: 'float' object cannot be interpreted as an integer"
+        ]
+        assert outcomes(enumerate_hvectors(EnumerationSpec(4, True, 1, not_si))) == ["end"]
+        assert stream(6, Three.THREE, 7, not_si) == stream(6, 3, 7, not_si)
+        assert {type(x) for h in enumerate_hvectors(EnumerationSpec(6, Three.THREE, 7, not_si)) for x in h} == {int}
