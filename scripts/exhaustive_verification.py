@@ -28,7 +28,7 @@ from hvectors import (
     refute_non_si,
     verify_decomposition_traces,
 )
-from hvectors.cli import EXIT_BROKEN_PIPE, _detach_stdout
+from hvectors.cli import EXIT_BROKEN_PIPE, EXIT_USAGE, _detach_stdout
 
 
 def sweep_growth_oracle(n_max: int, i_max: int) -> tuple[int, int]:
@@ -85,6 +85,9 @@ def main() -> int:
     parser.add_argument("--json", action="store_true",
                         help="print one JSON record per sweep instead of the text lines")
     args = parser.parse_args()
+    if args.cap < 3:  # every sweep's box is codimension 3
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: argument --cap: "
+                                f"entry cap {args.cap} is below codimension 3\n")
 
     total_failures = 0
     for name, sweep in [

@@ -94,6 +94,17 @@ _INT_ONLY = {int}
 _set_entries = HVector.entries.__set__
 
 
+def _normal_hvector(entries: tuple[int, ...]) -> HVector:
+    """The HVector of entries already in its normal form: plain ints >= 1, the first 1.
+
+    It skips __init__'s checks, so a caller vouches for the entries; the
+    enumeration streams do, once HVector has accepted their first vector.
+    """
+    h = object.__new__(HVector)
+    _set_entries(h, entries)
+    return h
+
+
 def o_sequence_violation(seq: Sequence[int]) -> int | None:
     """First step d where seq[d+1] exceeds the Macaulay bound of seq[d].
 

@@ -4,6 +4,7 @@ from enum import IntEnum
 import pytest
 
 from bruteforce import full_box_vectors, mirrored_symmetric_vectors
+from test_acceptance import SI_COUNTS, SYMMETRIC_NOT_SI_COUNTS
 from hvectors import (
     EnumerationSpec,
     SequenceFilter,
@@ -142,12 +143,19 @@ class TestCounts:
         assert counts[4] == 4
 
     def test_counts_match_stream_lengths(self):
-        for filter in SequenceFilter:
-            for r in (1, 2, 3):
-                counts = count_by_degree(r, 6, 25, filter)
-                assert list(counts) == list(range(7))
-                for e, count in counts.items():
-                    assert count == len(stream(e, r, filter=filter)), (filter, r, e)
+        # every filter on r <= 4, e <= 8 and caps r..7 and 25; O-sequences stop at e = 6 at
+        # cap 25, past which r = 4 streams 651,269 vectors a degree
+        for r in range(1, 5):
+            for cap in [*range(r, 8), 25]:
+                for filter in SequenceFilter:
+                    max_e = 6 if cap == 25 and filter is SequenceFilter.ALL_O_SEQUENCES else 8
+                    counts = count_by_degree(r, max_e, cap, filter)
+                    assert list(counts) == list(range(max_e + 1))
+                    for e, count in counts.items():
+                        assert count == len(stream(e, r, cap, filter)), (filter, r, cap, e)
+        assert count_by_degree(3, 8, 25, SequenceFilter.SI) == {0: 0, **SI_COUNTS}
+        not_si = count_by_degree(3, 8, 25, SequenceFilter.SYMMETRIC_NOT_SI)
+        assert not_si == dict.fromkeys(range(4), 0) | SYMMETRIC_NOT_SI_COUNTS
 
 
 class TestUnknownFilter:
@@ -215,7 +223,8 @@ class TestFrozen:
         digest = hashlib.sha256()
         for r, max_e, cap in FROZEN_BOXES:
             for filter in SequenceFilter:
-                digest.update(repr((r, cap, filter.value, count_outcome(r, max_e, cap, filter))).encode() + b"\n")
+                counts = count_outcome(r, max_e, cap, filter)
+                digest.update(repr((r, cap, filter.value, counts)).encode() + b"\n")
         assert digest.hexdigest() == COUNTS
 
     def test_odd_codimensions_keep_their_frozen_outcomes(self):
@@ -243,4 +252,5 @@ class TestFrozen:
         ]
         assert outcomes(enumerate_hvectors(EnumerationSpec(4, True, 1, not_si))) == ["end"]
         assert stream(6, Three.THREE, 7, not_si) == stream(6, 3, 7, not_si)
-        assert {type(x) for h in enumerate_hvectors(EnumerationSpec(6, Three.THREE, 7, not_si)) for x in h} == {int}
+        vectors = enumerate_hvectors(EnumerationSpec(6, Three.THREE, 7, not_si))
+        assert {type(x) for h in vectors for x in h} == {int}

@@ -44,6 +44,16 @@ def test_verification_campaign_json_records_match_the_text_run():
         assert record["seconds"] >= 0
 
 
+@pytest.mark.parametrize("cap", ["2", "-1"])
+def test_verification_campaign_refuses_a_cap_below_the_codimension(cap):
+    result = run_script("exhaustive_verification.py", "--cap", cap)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "exhaustive_verification.py: error: argument --cap: "
+        f"entry cap {cap} is below codimension 3\n"
+    )
+
+
 @pytest.mark.parametrize("reads_first", [True, False], ids=["unbuffered, after one record",
                                                             "buffered, before any record"])
 def test_verification_campaign_ends_quietly_when_its_reader_closes(reads_first):
