@@ -172,21 +172,25 @@ def count_by_degree(
 ) -> dict[int, int]:
     """Stream length of each per-degree enumeration up to the maximum degree.
 
-    Degrees 0 and 1 count their streams.  From degree 2 on, each stream
-    still draws its first vector, so a bad box raises as the stream does,
-    and the count comes from the box: cap^(e//2 - 1) symmetric vectors,
-    the SI and O-sequence walks counted by _walk_counts, and the non-SI
-    vectors as the symmetric ones less the SI ones.
+    Degrees 0 and 1 count their streams.  Every larger degree counts its
+    box: cap^(e//2 - 1) symmetric vectors, the SI and O-sequence walks
+    counted by _walk_counts, and the non-SI vectors as the symmetric ones
+    less the SI ones.  From degree 2 on the streams still draw their first
+    vectors, degree by degree, until one yields, so a bad box raises as
+    its stream does.  Once a vector has passed HVector the codimension is
+    an int, and a stream can then fail only on a cap that range() refuses,
+    on which _walk_counts, taking the same steps, fails alike.
     """
     if max_socle_degree < 0:
         raise ValueError(f"socle degree must be >= 0, got {max_socle_degree}")
     counts = {}
+    drawn = False
     for e in range(max_socle_degree + 1):
         stream = enumerate_hvectors(EnumerationSpec(e, codimension, entry_cap, filter))
         if e < 2:
             counts[e] = sum(1 for _ in stream)
-        else:
-            next(stream, None)
+        elif not drawn:
+            drawn = next(stream, None) is not None
     r, cap, top = codimension, entry_cap, max_socle_degree
     if filter is SequenceFilter.ALL_O_SEQUENCES:
         walks = _walk_counts(r, top + 1, cap, False)
