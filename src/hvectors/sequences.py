@@ -98,7 +98,7 @@ def _normal_hvector(entries: tuple[int, ...]) -> HVector:
     """The HVector of entries already in its normal form: plain ints >= 1, the first 1.
 
     It skips __init__'s checks, so a caller vouches for the entries; the
-    enumeration streams do, once HVector has accepted their first vector.
+    enumeration streams do, as they walk only boxes EnumerationSpec checked.
     """
     h = object.__new__(HVector)
     _set_entries(h, entries)

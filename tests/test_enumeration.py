@@ -24,6 +24,10 @@ def stream(e, r, cap=25, filter=SequenceFilter.SI):
     return [tuple(h) for h in enumerate_hvectors(spec)]
 
 
+class Three(IntEnum):
+    THREE = 3
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -32,6 +36,43 @@ class TestSpec:
             EnumerationSpec(socle_degree=2, codimension=0)
         with pytest.raises(ValueError):
             EnumerationSpec(socle_degree=2, codimension=3, entry_cap=2)
+
+    def test_odd_codimensions(self):
+        # a bool or float codimension is refused where the box is built, before any range check;
+        # an IntEnum member is kept as the plain int
+        for r in (True, 3.0):
+            message = f"codimension must be an integer, got {r!r}$"
+            for filter in SequenceFilter:
+                for cap in (1, 3, 7):
+                    for e in range(7):
+                        with pytest.raises(ValueError, match=message):
+                            EnumerationSpec(e, r, cap, filter)
+                    with pytest.raises(ValueError, match=message):
+                        count_by_degree(r, 6, cap, filter)
+        for filter in SequenceFilter:
+            for cap in (3, 7):
+                for e in range(7):
+                    spec = EnumerationSpec(e, Three.THREE, cap, filter)
+                    assert type(spec.codimension) is int
+                    vectors = list(enumerate_hvectors(spec))
+                    assert [tuple(h) for h in vectors] == stream(e, 3, cap, filter)
+                    assert {type(x) for h in vectors for x in h} <= {int}
+                assert count_by_degree(Three.THREE, 6, cap, filter) == count_by_degree(
+                    3, 6, cap, filter
+                )
+
+    @pytest.mark.parametrize("filter", SequenceFilter)
+    def test_streams_check_specs_that_skipped_the_constructor(self, filter):
+        # _replace and a plain tuple skip EnumerationSpec.__new__, so the stream checks the box
+        checked = EnumerationSpec(4, 3, 7, filter)
+        for spec in (
+            checked._replace(codimension=3.0),
+            checked._replace(codimension=True, entry_cap=1),
+            (4, 3.0, 7, filter),
+        ):
+            vectors = enumerate_hvectors(spec)
+            with pytest.raises(ValueError, match="codimension must be an integer"):
+                next(vectors)
 
 
 class TestStreams:
@@ -160,15 +201,10 @@ class TestCounts:
 
 class TestUnknownFilter:
     @pytest.mark.parametrize("e", [0, 1, 4])
-    def test_plain_string_raises_on_iteration(self, e):
+    def test_plain_string_raises_at_the_spec(self, e):
         # a member's value is not a member, even where `in SequenceFilter` would accept it
-        spec = EnumerationSpec(e, 3, 25, "si")
         with pytest.raises(ValueError, match="unknown filter"):
-            next(enumerate_hvectors(spec))
-
-
-class Three(IntEnum):
-    THREE = 3
+            EnumerationSpec(e, 3, 25, "si")
 
 
 def outcomes(stream):
@@ -193,7 +229,6 @@ def count_outcome(*args):
 VECTORS = 157_764
 STREAMS = "bc793a35250ddb88d1e88a1f7775e7f62444983deffdc920d92da336dd79b401"
 COUNTS = "5599fac524688830e6793559ad21e93aafec9f5574360dd43de28553c20d6a23"
-ODD = "be3965bda5b3c33a8035dcf494f00a38389c16f2d29133db646f9e7b50b83bfa"
 
 # every box of the frozen grid: r <= 4, e <= 7, caps r, r + 1 and 7, and r = 3, cap 25, e <= 8
 FROZEN_BOXES = [
@@ -226,31 +261,3 @@ class TestFrozen:
                 counts = count_outcome(r, max_e, cap, filter)
                 digest.update(repr((r, cap, filter.value, counts)).encode() + b"\n")
         assert digest.hexdigest() == COUNTS
-
-    def test_odd_codimensions_keep_their_frozen_outcomes(self):
-        # a bool or float codimension fails at the stream's first next() as HVector does, or with
-        # the walk's TypeError; an IntEnum member gives plain-int entries
-        digest = hashlib.sha256()
-        for r in (True, 3.0, Three.THREE):
-            label = f"{type(r).__name__}({int(r)})"  # an IntEnum repr may differ between versions
-            for filter in SequenceFilter:
-                for cap in (1, 3, 7):
-                    if cap < r:
-                        continue
-                    for e in range(7):
-                        seen = outcomes(enumerate_hvectors(EnumerationSpec(e, r, cap, filter)))
-                        digest.update(repr((label, cap, filter.value, e, seen)).encode() + b"\n")
-                    counts = count_outcome(r, 6, cap, filter)
-                    digest.update(repr((label, cap, filter.value, counts)).encode() + b"\n")
-        assert digest.hexdigest() == ODD
-        not_si, si = SequenceFilter.SYMMETRIC_NOT_SI, SequenceFilter.SI
-        assert outcomes(enumerate_hvectors(EnumerationSpec(4, 3.0, 7, not_si))) == [
-            "ValueError: entry 3.0 at degree 1 is not an integer"
-        ]
-        assert outcomes(enumerate_hvectors(EnumerationSpec(4, 3.0, 7, si))) == [
-            "TypeError: 'float' object cannot be interpreted as an integer"
-        ]
-        assert outcomes(enumerate_hvectors(EnumerationSpec(4, True, 1, not_si))) == ["end"]
-        assert stream(6, Three.THREE, 7, not_si) == stream(6, 3, 7, not_si)
-        vectors = enumerate_hvectors(EnumerationSpec(6, Three.THREE, 7, not_si))
-        assert {type(x) for h in vectors for x in h} == {int}

@@ -23,6 +23,7 @@ from hvectors import (
     TraceCase,
     Verdict,
     classify_gorenstein,
+    count_by_degree,
     expand,
     find_pivot_decomposition,
     lex_segment_realization,
@@ -204,3 +205,11 @@ def test_enumeration_spec_defaults_and_checks():
                           ((4, 3, 2), "entry cap 2 is below")]:
         with pytest.raises(ValueError, match=message):
             EnumerationSpec(*args)
+    for field, name in enumerate(["socle degree", "codimension", "entry cap"]):
+        for value in (True, 3.0, "3"):
+            args = [4, 3, 25]
+            args[field] = value
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                EnumerationSpec(*args)
+    with pytest.raises(ValueError, match="entry cap must be an integer, got 7.0"):
+        count_by_degree(3, 6, 7.0, SequenceFilter.SI)
