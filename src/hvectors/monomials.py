@@ -8,11 +8,12 @@ first so that output is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .binomials import expand, macaulay_bound
 from .errors import InfeasibleSearchError, NotAnOSequenceError
@@ -90,6 +91,24 @@ def _check_growth(h: HVector) -> None:
         raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
 
 
+def _ascending_words(r: int, d: int, start: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Index words of degree-d monomials in r variables (r >= 1 or d = 0), up the term order.
+
+    Words list variable indices in non-decreasing order and ascend as the
+    monomials descend (see max_growth_bruteforce).  From x_r^d = (r-1, ...,
+    r-1), or just after start, up to x_1^d, each O(d) step lowers the last
+    index that can drop (above the one before it, or above 0 at the front)
+    and sets every later one to r-1, the largest suffix: none lies between.
+    """
+    word = (r - 1,) * d if start is None else tuple(start)
+    if start is None:
+        yield word
+    while d and word[-1] > 0:
+        i = bisect_left(word, word[-1])
+        word = word[:i] + (word[i] - 1,) + (r - 1,) * (d - 1 - i)
+        yield word
+
+
 # (r, d) -> the longest degree-d final lex segment in r variables a lex realization asked for
 _held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 
@@ -97,27 +116,18 @@ _held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 def _held_final_segment(num_variables: int, degree: int, size: int) -> tuple[Monomial, ...]:
     """The final lex segment held for (r, d), first extended to at least size monomials.
 
-    A held segment shorter than size grows upward from its smallest end,
-    x_r^d when none is held, one ascending lex successor at a time, and the
-    longer one is held in its place.  The successor takes the last variable
-    past the first whose exponent c is nonzero, zeroes it, and adds 1 to
-    the variable before it and c-1 to x_r: the least change that raises an
-    earlier exponent, so no monomial lies between.  Each step costs O(r);
-    size must not exceed the number of degree-d monomials.
+    A shorter one grows from its smallest end (x_r^d when none is held) by
+    _ascending_words resumed from its top, at O(r + d) a monomial, and is
+    held in its place; size must not exceed the number of degree-d monomials.
     """
     held = _held_segments.get((num_variables, degree), ())
     if len(held) < size:
-        last = num_variables - 1
-        exponents = list(held[0]) if held else [degree if v == last else 0 for v in range(num_variables)]
-        added = [] if held else [tuple(exponents)]
-        for _ in range(size - len(held) - len(added)):
-            p = last
-            while not exponents[p]:
-                p -= 1
-            c = exponents[p]
-            exponents[p] = 0
-            exponents[p - 1] += 1
-            exponents[last] += c - 1
+        top = [v for v, c in enumerate(held[0]) for _ in range(c)] if held else None
+        added = []
+        for word in islice(_ascending_words(num_variables, degree, top), size - len(held)):
+            exponents = [0] * num_variables
+            for v in word:
+                exponents[v] += 1
             added.append(tuple(exponents))
         held = _held_segments[num_variables, degree] = (*reversed(added), *held)
     return held
@@ -149,29 +159,27 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     return tuple.__new__(SurvivorTable, (r, _LexLevels(levels)))  # past the NamedTuple's __new__
 
 
-# (r, d) -> render_monomial of the longest final lex segment of degree d named so far, in order
-_held_names: dict[tuple[int, int], tuple[str, ...]] = {}
-
-
-def lex_realization_names(h: HVector) -> list[tuple[str, ...]]:
+def lex_realization_names(h: HVector) -> list[list[str]]:
     """Per degree, render_monomial of each monomial of lex_segment_realization(h), in order.
 
-    Like the segments, the names are held per (r, d), for the longest
-    final segment named so far; a longer level renders only the monomials
-    above the held names, since a final segment of size n ends in the one
-    of every smaller size.  So each monomial is rendered once, and a level
-    is the last h_d held names.  Raises as lex_segment_realization does.
+    Each level is rendered from its _ascending_words and reversed, holding
+    nothing: time and memory are O(sum of h_d * d), the size of the text.
+    Raises as lex_segment_realization does.
     """
-    table = lex_segment_realization(h)
-    r = table.num_variables
-    held = _held_names.get
+    _check_growth(h)
+    r = h.entries[1] if len(h.entries) > 1 else 0
+    factors = [f"*x{v + 1}" for v in range(r)]
     levels = []
-    for d, level in enumerate(table.per_degree):
-        names = held((r, d), ())
-        if len(names) < len(level):
-            new = level[: len(level) - len(names)]
-            names = _held_names[r, d] = (*map(render_monomial, new), *names)
-        levels.append(names[-len(level) :])
+    for d, size in enumerate(h.entries):
+        names = []
+        for word in islice(_ascending_words(r, d), size):
+            name, k = "", 0
+            while k < d:  # one factor per run of equal indices
+                j = bisect_right(word, word[k], k)
+                name += factors[word[k]] if j - k == 1 else f"{factors[word[k]]}^{j - k}"
+                k = j
+            names.append(name[1:] or "1")
+        levels.append(names[::-1])
     return levels
 
 

@@ -185,14 +185,12 @@ class TestRealizeAndSocle:
         assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
         assert not monomials._held_segments
 
-    def test_realize_text_while_the_held_segments_grow(self, monkeypatch):
+    def test_realize_text_matches_the_table_and_holds_nothing(self, monkeypatch):
         # O-sequences in 2, 3 or 5 variables in a seeded random order, so that the held
-        # segments and their names grow, or are sliced, between calls; halfway the segments
-        # are dropped and rebuilt while the names stay
+        # segments the table reads grow, or are sliced, between calls; halfway they are
+        # dropped and rebuilt, and realize neither reads nor fills them
         monkeypatch.setattr(monomials, "_held_segments", {})
-        monkeypatch.setattr(monomials, "_held_names", {})
         rng = random.Random(23)
-        grew = 0
         for k in range(300):
             if k == 150:
                 monomials._held_segments.clear()
@@ -200,15 +198,14 @@ class TestRealizeAndSocle:
             h = [1, r]
             for d in range(1, rng.randint(1, 6)):
                 h.append(rng.randint(1, min(macaulay_bound(h[-1], d), 40)))
-            held = dict(monomials._held_names)
+            held = dict(monomials._held_segments)
             answer = outcome(["realize", ",".join(map(str, h))])
-            grew += monomials._held_names != held
+            assert monomials._held_segments == held, h
             expected = "".join(
                 f"degree {d}: {', '.join(map(render_monomial, level))}\n"
                 for d, level in enumerate(lex_segment_realization(HVector(h)).per_degree)
             )
             assert answer == (0, expected, ""), h
-        assert grew == 25
 
 
 class TestDecomposeAndRefute:
@@ -280,10 +277,10 @@ class TestDecomposeAndRefute:
         assert err == "error: refutation needs more than 2 candidates\n"
 
     def test_memory_error_exits_five(self, capsys, monkeypatch):
-        def exhausted(h):
+        def exhausted(r, d, start=None):
             raise MemoryError
 
-        monkeypatch.setattr(monomials, "lex_segment_realization", exhausted)
+        monkeypatch.setattr(monomials, "_ascending_words", exhausted)
         code, out, err = run(capsys, "realize", "1,3,1")
         assert (code, out) == (5, "")
         assert err == "error: MemoryError\n"
@@ -658,16 +655,20 @@ def _long_tail(r, runs):
     return ",".join(map(str, [1, r, *(value for value, count in runs for _ in range(count))]))
 
 
-# one large codimension with a short tail, or a long tail in few variables; tiny entries
+# one large codimension with a short tail, a long tail in few variables, or a wide first
+# degree with at most three more entries; tiny entries
 _LARGE_REALIZE_TEXT = st.one_of(
     st.builds(lambda r, tail: ",".join(map(str, [1, r, *tail])),
               st.integers(1, 60), st.lists(st.integers(1, 4), max_size=7)),
     st.builds(_long_tail, st.integers(1, 3),
               st.lists(st.tuples(st.integers(1, 4), st.integers(1, 333)), min_size=1, max_size=3)),
+    st.builds(lambda r, tail: ",".join(map(str, [1, r, *tail])),
+              st.integers(1, 20_000), st.lists(st.integers(1, 4), max_size=3)),
 )
 
 
 @given(_LARGE_REALIZE_TEXT)
+@example("1,20000")
 @example("1,40,1,1,1,1,1")
 @example(",".join(["1", "2", *["3"] * 1000]))
 @example(",".join(["1", *["3"] * 301]))

@@ -39,7 +39,12 @@ from hvectors import (
     socle_vector,
 )
 from hvectors import monomials
-from hvectors.monomials import _held_final_segment, _held_segments, _last_variable_multiples
+from hvectors.monomials import (
+    _ascending_words,
+    _held_final_segment,
+    _held_segments,
+    _last_variable_multiples,
+)
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
 NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
@@ -399,6 +404,18 @@ class TestClosedForm:
         assert again.per_degree[3] is not _held_segments[3, 3]
         assert again.per_degree == short.per_degree
         assert longer.per_degree[3][-4:] == short.per_degree[3]
+
+
+class TestAscendingWords:
+    """_ascending_words, read as exponent vectors, against the naive ascending enumeration."""
+
+    def test_every_word_from_the_bottom_and_after_any_start(self):
+        for r, d in [(0, 0), *product(range(1, 7), range(7))]:
+            ascending = exponent_vectors(r, d)
+            words = list(_ascending_words(r, d))
+            assert [tuple(map(word.count, range(r))) for word in words] == ascending, (r, d)
+            for k, start in enumerate(words):
+                assert list(_ascending_words(r, d, start)) == words[k + 1 :], (r, d, start)
 
 
 class TestFinalSegments:
