@@ -113,11 +113,12 @@ def _subtrahends(
     child equal to a_m = a_{m+1}.  So every residual step holds for each
     subtrahend yielded.  Given a `certificate` list, the walk appends to it
     a RefutedCandidate for each dead half, and each full subtrahend whose
-    middle step breaks, with the end degree of that step; an entry past
-    REFUTE_CANDIDATE_BUDGET entries and subtrahends yielded raises
-    InfeasibleSearchError.  At socle <= 1 the one candidate's whole
-    residual is tested.  Neither that nor the prefix test writes an entry;
-    refute, at pivot 1 and socle >= 3, meets neither.
+    middle step breaks, with the end degree of that step, and it returns at
+    the opening of a level, once that level's dead fronts are listed, if the
+    certificate holds more than REFUTE_CANDIDATE_BUDGET entries, which
+    refute_non_si refuses.  At socle <= 1 the one candidate's whole residual
+    is tested.  Neither that nor the prefix test writes an entry; refute, at
+    pivot 1 and socle >= 3, meets neither.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
@@ -130,7 +131,6 @@ def _subtrahends(
     if pivot > 1 and _growth_violation(values[:pivot] + (values[pivot] - 1,)) is not None:
         return
     new = tuple.__new__  # builds each entry at C level, past the NamedTuple's Python __new__
-    budget = REFUTE_CANDIDATE_BUDGET  # less one for each subtrahend yielded
     low = 1
     f = pivot + 1  # the first level's floor, inline as each later level's below
     floor = values[f] - macaulay_bound(values[f - 1] - 1, f - 1)
@@ -140,10 +140,6 @@ def _subtrahends(
         if certificate is not None:
             for a in range(low, min(floor, high)):
                 certificate.append(new(RefutedCandidate, ((1, a), f)))
-            if len(certificate) > budget:
-                raise InfeasibleSearchError(
-                    f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
-                )
         if floor >= high:  # every root is dead
             return
         low = floor
@@ -182,27 +178,20 @@ def _subtrahends(
                     if certificate is not None:
                         for path[-1] in range(low, min(floor, high)):
                             certificate.append(new(RefutedCandidate, (tuple(path), f)))
-                        if len(certificate) > budget:
-                            raise InfeasibleSearchError(
-                                f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
-                            )
                     low = floor
+                if certificate is not None and len(certificate) > REFUTE_CANDIDATE_BUDGET:
+                    return  # refute_non_si raises
                 stack.append(iter(range(low, high)))
                 break
             else:  # a full half, and at an odd socle its middle step
                 f = pivot + d  # the front step into a child equal to value
                 if not socle % 2 or values[f] - value <= macaulay_bound(values[f - 1] - value, f - 1):
-                    budget -= 1
                     yield mirror(tuple(path), socle)
                     continue
                 if certificate is None:
                     continue
                 entry = mirror(tuple(path), socle)
             certificate.append(new(RefutedCandidate, (entry, f)))
-            if len(certificate) > budget:
-                raise InfeasibleSearchError(
-                    f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates"
-                )
         else:
             stack.pop()
             path.pop()
@@ -242,8 +231,11 @@ def refute_non_si(h: HVector) -> RefutationReport:
     order, each entry with the end degree of its broken step; a first half
     stands for every candidate that starts with it.  A surviving candidate
     would contradict the codimension-3 classification and is surfaced as a
-    loud implementation-bug signal.  Raises InfeasibleSearchError past
-    REFUTE_CANDIDATE_BUDGET entries and survivors.
+    loud implementation-bug signal.  It alone raises InfeasibleSearchError
+    for the budget, past REFUTE_CANDIDATE_BUDGET entries and survivors: both
+    only grow and the budget is fixed, so this one check after the walk
+    raises exactly when a check after each of them would, and the walk stops
+    early only once its entries alone are past the budget.
     """
     values = h.entries
     if len(values) < 2 or values[1] != 3:
@@ -254,6 +246,8 @@ def refute_non_si(h: HVector) -> RefutationReport:
         raise PreconditionViolatedError("input is an SI-sequence; nothing to refute")
     certificate = []
     survivors = tuple(_subtrahends(h, 1, certificate))  # the walk fills the certificate
+    if len(certificate) + len(survivors) > REFUTE_CANDIDATE_BUDGET:
+        raise InfeasibleSearchError(f"refutation needs more than {REFUTE_CANDIDATE_BUDGET} candidates")
     return tuple.__new__(RefutationReport, (h, tuple(certificate), survivors))
 
 

@@ -113,26 +113,6 @@ def _ascending_words(r: int, d: int, start: Sequence[int] | None = None) -> Iter
 _held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 
 
-def _held_final_segment(num_variables: int, degree: int, size: int) -> tuple[Monomial, ...]:
-    """The final lex segment held for (r, d), first extended to at least size monomials.
-
-    A shorter one grows from its smallest end (x_r^d when none is held) by
-    _ascending_words resumed from its top, at O(r + d) a monomial, and is
-    held in its place; size must not exceed the number of degree-d monomials.
-    """
-    held = _held_segments.get((num_variables, degree), ())
-    if len(held) < size:
-        top = [v for v, c in enumerate(held[0]) for _ in range(c)] if held else None
-        added = []
-        for word in islice(_ascending_words(num_variables, degree, top), size - len(held)):
-            exponents = [0] * num_variables
-            for v in word:
-                exponents[v] += 1
-            added.append(tuple(exponents))
-        held = _held_segments[num_variables, degree] = (*reversed(added), *held)
-    return held
-
-
 def lex_segment_realization(h: HVector) -> SurvivorTable:
     """Realize h by keeping, in each degree, the h_d smallest monomials.
 
@@ -140,21 +120,30 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     a final lex segment of size n in degree d-1 form the final lex segment
     of size macaulay_bound(n, d-1) in degree d, so each level is the final
     segment of size h_d.  Levels are sliced from the longest final segment
-    asked so far for their (r, d), which _held_final_segment builds from
-    the small end, so no other monomial of the degree is made: time and
-    memory are O(sum of h_d * r).  A level as long as its held segment is
-    that tuple itself.  Raises for the first degree that breaks Macaulay
-    growth, before it builds any level.  per_degree is a _LexLevels, so
-    socle_vector answers from its sizes.
+    asked so far for their (r, d), held in _held_segments, which no other
+    function reads or writes.  A shorter one grows from its smallest end
+    (x_r^d when none is held) by _ascending_words resumed from its top, at
+    O(r + d) a monomial, and is held in its place, so no other monomial of
+    the degree is made: time and memory are O(sum of h_d * r).  A level as
+    long as its held segment is that tuple itself.  Raises for the first
+    degree that breaks Macaulay growth, before it builds any level.
+    per_degree is a _LexLevels, so socle_vector answers from its sizes.
     """
     _check_growth(h)
     r = h.entries[1] if len(h.entries) > 1 else 0
     held = _held_segments.get
     levels = []
-    for d, size in enumerate(h.entries):  # the lookup is inlined, so a held level costs no call
+    for d, size in enumerate(h.entries):
         segment = held((r, d), ())
         if len(segment) < size:
-            segment = _held_final_segment(r, d, size)
+            top = [v for v, c in enumerate(segment[0]) for _ in range(c)] if segment else None
+            added = []
+            for word in islice(_ascending_words(r, d, top), size - len(segment)):
+                exponents = [0] * r
+                for v in word:
+                    exponents[v] += 1
+                added.append(tuple(exponents))
+            segment = _held_segments[r, d] = (*reversed(added), *segment)
         levels.append(segment[-size:])
     return tuple.__new__(SurvivorTable, (r, _LexLevels(levels)))  # past the NamedTuple's __new__
 

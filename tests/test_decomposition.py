@@ -390,6 +390,20 @@ class TestRefute:
         with pytest.raises(InfeasibleSearchError):
             refute_non_si(h)
 
+    def test_the_walk_stops_once_the_certificate_passes_the_budget(self, capsys):
+        # the generic e = 1000 vector with h_499 and h_501 lowered by 20: its certificate runs to
+        # 134,919 entries, and the walk ends at the next level opening past the budget's 50,000
+        e = 1000
+        h = [comb(min(d, e - d) + 2, 2) for d in range(e + 1)]
+        h[e // 2 - 1] -= 20
+        h[e // 2 + 1] -= 20
+        certificate = []
+        assert list(_subtrahends(HVector(tuple(h)), 1, certificate)) == []
+        assert 50_000 < len(certificate) <= 51_000
+        assert main(["refute", ",".join(map(str, h))]) == 5
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: refutation needs more than 50000 candidates\n")
+
     def test_searches_leave_no_cyclic_garbage(self):
         # reference counting alone frees what a search built, so the collector has nothing to do
         gc.collect()

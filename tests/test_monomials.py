@@ -41,7 +41,6 @@ from hvectors import (
 from hvectors import monomials
 from hvectors.monomials import (
     _ascending_words,
-    _held_final_segment,
     _held_segments,
     _last_variable_multiples,
 )
@@ -419,29 +418,37 @@ class TestAscendingWords:
 
 
 class TestFinalSegments:
-    """_held_final_segment against the naive ascending enumeration, in any request order."""
+    """The segments lex_segment_realization holds, against the naive ascending enumeration."""
 
     @staticmethod
     def check_in_order(r, d, sizes):
+        # each request realizes (1, r, C(r+1, 2), ..., C(r+d-2, d-1), size), so d >= 2, and
+        # every level below d is its whole degree
+        whole = tuple(binom(r + k - 1, k) for k in range(d))
         ascending = exponent_vectors(r, d)
         _held_segments.clear()
-        longest = 0
+        held = ()
         for size in sizes:
-            held = _held_final_segment(r, d, size)
-            longest = max(longest, size)
-            assert len(held) == longest, (r, d, size)
+            before = held
+            lex_segment_realization(HVector((*whole, size)))
+            held = _held_segments[r, d]
+            assert len(held) == max(size, len(before)), (r, d, size)
             assert held[-size:] == tuple(reversed(ascending[:size])), (r, d, size)
+            # a longer request extends the held tuple: its small end holds the old monomials themselves
+            assert all(new is old for new, old in zip(held[len(held) - len(before) :], before))
+        for k in range(d):
+            assert _held_segments[r, k] == tuple(reversed(exponent_vectors(r, k))), (r, d, k)
 
     def test_every_size_ascending_and_descending(self):
         for r in range(1, 7):
-            for d in range(7):
+            for d in range(2, 7):
                 sizes = range(1, binom(r + d - 1, d) + 1)
                 self.check_in_order(r, d, sizes)
                 self.check_in_order(r, d, reversed(sizes))
 
     @given(st.data())
     def test_every_size_in_a_drawn_order(self, data):
-        r, d = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+        r, d = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6))
         self.check_in_order(r, d, data.draw(st.permutations(range(1, binom(r + d - 1, d) + 1))))
 
     def test_maximal_growth_vectors_from_nothing_held(self, monkeypatch):
@@ -459,8 +466,10 @@ class TestFinalSegments:
         _held_segments.clear()
         assert lex_segment_realization(HVector((1,))).per_degree == (((),),)
         assert _held_segments == {(0, 0): ((),)}
-        for d in range(7):
-            assert _held_final_segment(40, d, 1) == ((0,) * 39 + (d,),)
+        lex_segment_realization(HVector((1, 40, 1, 1, 1, 1, 1)))
+        assert _held_segments[40, 1] == tuple(reversed(exponent_vectors(40, 1)))
+        for d in (0, 2, 3, 4, 5, 6):
+            assert _held_segments[40, d] == ((0,) * 39 + (d,),)
 
 
 class TestMaxGrowth:
