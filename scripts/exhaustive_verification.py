@@ -6,8 +6,8 @@ Three sweeps, any failure exits 4:
   2. every SI vector decomposes at pivot 1 with all growth traces holding;
   3. every symmetric non-SI vector is exhaustively refuted (no survivors).
 
-With --json, each sweep prints one JSON object on its own line instead of
-its text line: sweep, max_degree, cap, checked, failures and seconds.
+Each sweep prints one JSON record on its own line: sweep, max_degree, cap,
+checked, failures and seconds; each failure's message goes to stderr.
 A reader that closes early ends the run quietly with exit 141, as in hvec.
 """
 
@@ -17,9 +17,12 @@ import argparse
 import json
 import sys
 import time
+from itertools import product
+from typing import Iterator
 
 from hvectors import (
     EnumerationSpec,
+    HVector,
     SequenceFilter,
     enumerate_hvectors,
     find_pivot_decomposition,
@@ -31,49 +34,33 @@ from hvectors import (
 from hvectors.cli import EXIT_BROKEN_PIPE, EXIT_USAGE, _detach_stdout
 
 
-def sweep_growth_oracle(n_max: int, i_max: int) -> tuple[int, int]:
-    checked = failures = 0
-    for n in range(1, n_max + 1):
-        for i in range(1, i_max + 1):
-            checked += 1
-            if max_growth_bruteforce(n, i, n) != macaulay_bound(n, i):
-                failures += 1
-                print(f"MISMATCH at n={n}, i={i}", file=sys.stderr)
-    return checked, failures
-
-
-def sweep_decompositions(max_degree: int, cap: int) -> tuple[int, int]:
-    checked = failures = 0
+def box(max_degree: int, cap: int, sequence_filter: SequenceFilter) -> Iterator[HVector]:
+    """The codimension-3 vectors of socle degree 2..max_degree passing the filter."""
     for e in range(2, max_degree + 1):
-        spec = EnumerationSpec(socle_degree=e, codimension=3, entry_cap=cap,
-                               filter=SequenceFilter.SI)
-        for h in enumerate_hvectors(spec):
-            checked += 1
-            decomposition = find_pivot_decomposition(h, 1)
-            if decomposition is None:
-                failures += 1
-                print(f"NO DECOMPOSITION for {h}", file=sys.stderr)
-                continue
-            try:
-                verify_decomposition_traces(h, decomposition)
-            except Exception as exc:
-                failures += 1
-                print(f"TRACE FAILURE for {h}: {exc}", file=sys.stderr)
-    return checked, failures
+        yield from enumerate_hvectors(EnumerationSpec(e, 3, cap, sequence_filter))
 
 
-def sweep_refutations(max_degree: int, cap: int) -> tuple[int, int]:
-    checked = failures = 0
-    for e in range(2, max_degree + 1):
-        spec = EnumerationSpec(socle_degree=e, codimension=3, entry_cap=cap,
-                               filter=SequenceFilter.SYMMETRIC_NOT_SI)
-        for h in enumerate_hvectors(spec):
-            checked += 1
-            report = refute_non_si(h)
-            if report.survivors:
-                failures += 1
-                print(f"SURVIVOR for {h}: {report.survivors}", file=sys.stderr)
-    return checked, failures
+def growth_failure(point: tuple[int, int]) -> str | None:
+    n, i = point
+    if max_growth_bruteforce(n, i, n) != macaulay_bound(n, i):
+        return f"MISMATCH at n={n}, i={i}"
+    return None
+
+
+def decomposition_failure(h: HVector) -> str | None:
+    decomposition = find_pivot_decomposition(h, 1)
+    if decomposition is None:
+        return f"NO DECOMPOSITION for {h}"
+    try:
+        verify_decomposition_traces(h, decomposition)
+    except Exception as exc:
+        return f"TRACE FAILURE for {h}: {exc}"
+    return None
+
+
+def refutation_failure(h: HVector) -> str | None:
+    survivors = refute_non_si(h).survivors
+    return f"SURVIVOR for {h}: {survivors}" if survivors else None
 
 
 def main() -> int:
@@ -82,29 +69,32 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=25)
     parser.add_argument("--grid-n", type=int, default=6)
     parser.add_argument("--grid-i", type=int, default=3)
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON record per sweep instead of the text lines")
     args = parser.parse_args()
-    if args.cap < 3:  # every sweep's box is codimension 3
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: argument --cap: "
-                                f"entry cap {args.cap} is below codimension 3\n")
+    try:  # every sweep's box is codimension 3
+        EnumerationSpec(2, 3, args.cap)
+    except ValueError as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: argument --cap: {exc}\n")
 
     total_failures = 0
-    for name, sweep in [
-        ("growth oracle", lambda: sweep_growth_oracle(args.grid_n, args.grid_i)),
-        ("decompositions", lambda: sweep_decompositions(args.max_degree, args.cap)),
-        ("refutations", lambda: sweep_refutations(args.max_degree, args.cap)),
+    for name, inputs, failure in [
+        ("growth oracle", product(range(1, args.grid_n + 1), range(1, args.grid_i + 1)),
+         growth_failure),
+        ("decompositions", box(args.max_degree, args.cap, SequenceFilter.SI),
+         decomposition_failure),
+        ("refutations", box(args.max_degree, args.cap, SequenceFilter.SYMMETRIC_NOT_SI),
+         refutation_failure),
     ]:
         start = time.monotonic()
-        checked, failures = sweep()
-        elapsed = time.monotonic() - start
-        if args.json:
-            print(json.dumps({"sweep": name, "max_degree": args.max_degree, "cap": args.cap,
-                              "checked": checked, "failures": failures,
-                              "seconds": round(elapsed, 3)}))
-        else:
-            status = "ok" if failures == 0 else f"{failures} FAILURES"
-            print(f"{name:>15}: {checked:>6} checked, {status} [{elapsed:.1f}s]")
+        checked = failures = 0
+        for item in inputs:
+            checked += 1
+            message = failure(item)
+            if message is not None:
+                failures += 1
+                print(message, file=sys.stderr)
+        print(json.dumps({"sweep": name, "max_degree": args.max_degree, "cap": args.cap,
+                          "checked": checked, "failures": failures,
+                          "seconds": round(time.monotonic() - start, 3)}))
         total_failures += failures
     return 4 if total_failures else 0
 

@@ -111,14 +111,17 @@ def _subtrahends(
     builds the caps or its stack.  For an odd socle 2m+1, a full half must
     also keep the middle step, ending at pivot+m+1: the front step into a
     child equal to a_m = a_{m+1}.  So every residual step holds for each
-    subtrahend yielded.  Given a `certificate` list, the walk appends to it
-    a RefutedCandidate for each dead half, and each full subtrahend whose
-    middle step breaks, with the end degree of that step, and it returns at
-    the opening of a level, once that level's dead fronts are listed, if the
-    certificate holds more than REFUTE_CANDIDATE_BUDGET entries, which
-    refute_non_si refuses.  At socle <= 1 the one candidate's whole residual
-    is tested.  Neither that nor the prefix test writes an entry; refute, at
-    pivot 1 and socle >= 3, meets neither.
+    subtrahend yielded.  A child that breaks the mirror step ends its
+    level: that step's bound cannot rise with the child's last entry.  So
+    the walk takes the same steps with or without a `certificate` list, to
+    which it appends a RefutedCandidate for each dead half (a level's dead
+    front prefix and mirror-step tail at once) and each full subtrahend
+    whose middle step breaks, with the end degree of that step; given one,
+    it also returns at the opening of a level, once that level's dead fronts
+    are listed, if the certificate holds more than REFUTE_CANDIDATE_BUDGET
+    entries, which refute_non_si refuses.  At socle <= 1 the one candidate's
+    whole residual is tested.  Neither that nor the prefix test writes an
+    entry; refute, at pivot 1 and socle >= 3, meets neither.
     """
     values = h.entries
     socle = len(values) - 1 - pivot
@@ -163,11 +166,12 @@ def _subtrahends(
             # mirror step: residual degrees f-1, f lose value, path[-2]
             f = pivot + socle - d + 2
             if values[f] - path[-2] > macaulay_bound(values[f - 1] - value, f - 1):
-                if certificate is None:
-                    del stack[-1], path[-1]  # no later sibling passes: its bound never rises
-                    break
-                entry = tuple(path)
-            elif d < len(caps):
+                if certificate is not None:  # no later sibling passes: its bound never rises
+                    for path[-1] in (value, *stack[-1]):
+                        certificate.append(new(RefutedCandidate, (tuple(path), f)))
+                del stack[-1], path[-1]
+                break
+            if d < len(caps):
                 low = value
                 high = min(value + macaulay_bound(value - path[-2], d - 1), caps[d]) + 1
                 path.append(0)
@@ -183,15 +187,12 @@ def _subtrahends(
                     return  # refute_non_si raises
                 stack.append(iter(range(low, high)))
                 break
-            else:  # a full half, and at an odd socle its middle step
-                f = pivot + d  # the front step into a child equal to value
-                if not socle % 2 or values[f] - value <= macaulay_bound(values[f - 1] - value, f - 1):
-                    yield mirror(tuple(path), socle)
-                    continue
-                if certificate is None:
-                    continue
-                entry = mirror(tuple(path), socle)
-            certificate.append(new(RefutedCandidate, (entry, f)))
+            # a full half, and at an odd socle its middle step
+            f = pivot + d  # the front step into a child equal to value
+            if not socle % 2 or values[f] - value <= macaulay_bound(values[f - 1] - value, f - 1):
+                yield mirror(tuple(path), socle)
+            elif certificate is not None:
+                certificate.append(new(RefutedCandidate, (mirror(tuple(path), socle), f)))
         else:
             stack.pop()
             path.pop()

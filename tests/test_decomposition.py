@@ -33,6 +33,7 @@ from hvectors import (
     is_o_sequence,
     is_si_sequence,
     is_symmetric,
+    macaulay_bound,
     refute_non_si,
     verify_decomposition_traces,
 )
@@ -141,7 +142,7 @@ class TestFind:
                 )
                 found = find_pivot_decomposition(HVector(h), pivot)
                 assert (found.subtrahend if found else None) == expected, (h, pivot)
-                # with no certificate a level may end early, but no candidate is lost
+                # a certificate changes nothing that is yielded
                 heard = list(_subtrahends(HVector(h), pivot, []))
                 assert list(_subtrahends(HVector(h), pivot)) == heard, (h, pivot)
             if h[1] == 3 and is_symmetric(h) and not is_si_sequence(h):
@@ -174,6 +175,30 @@ class TestFind:
             "odd": 1_093, "even": 2_041, "socle <= 1": 157, "not an O-sequence": 1_341,
             "heard": 66_078,
         }
+
+    def test_the_walk_takes_the_same_steps_with_or_without_a_certificate(self, monkeypatch):
+        # every pivot on the symmetric e <= 8, cap-25 codimension-3 box: both modes ask
+        # macaulay_bound the same things in the same order, so a certificate only adds entries
+        calls = []
+
+        def counting_bound(n, d):
+            calls.append((n, d))
+            return macaulay_bound(n, d)
+
+        def steps(*walk_args):
+            calls.clear()
+            list(_subtrahends(*walk_args))
+            return calls.copy()
+
+        monkeypatch.setattr(decomposition, "macaulay_bound", counting_bound)
+        walks = 0
+        for e in range(2, 9):
+            for h in mirrored_symmetric_vectors(e, 3, 25):
+                hv = HVector(h)
+                for pivot in range(1, e + 1):
+                    assert steps(hv, pivot) == steps(hv, pivot, []), (h, pivot)
+                    walks += 1
+        assert walks == 133_355
 
     def test_decompositions_at_every_pivot_keep_their_frozen_values(self):
         # SHA-256 of find_pivot_decomposition(h, p) for p = 1..e on the symmetric e <= 8,

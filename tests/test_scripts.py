@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,18 +31,34 @@ def test_verification_campaign_on_a_small_box():
     assert result.returncode == 0, result.stderr
 
 
-def test_verification_campaign_json_records_match_the_text_run():
-    box = ("--max-degree", "4", "--grid-n", "4", "--grid-i", "2")
-    text = run_script("exhaustive_verification.py", *box)
-    records = run_script("exhaustive_verification.py", *box, "--json")
-    assert text.returncode == records.returncode == 0, (text.stderr, records.stderr)
-    text_checked = [int(line.split(":")[1].split()[0]) for line in text.stdout.splitlines()]
-    parsed = [json.loads(line) for line in records.stdout.splitlines()]
-    assert [r["sweep"] for r in parsed] == ["growth oracle", "decompositions", "refutations"]
-    assert [r["checked"] for r in parsed] == text_checked
-    for record in parsed:
+def test_verification_campaign_prints_one_record_per_sweep():
+    result = run_script("exhaustive_verification.py",
+                        "--max-degree", "4", "--grid-n", "4", "--grid-i", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["sweep"], r["checked"]) for r in records] == [
+        ("growth oracle", 8), ("decompositions", 6), ("refutations", 21)]
+    for record in records:
         assert (record["max_degree"], record["cap"], record["failures"]) == (4, 25, 0)
         assert record["seconds"] >= 0
+
+
+def test_verification_campaign_counts_and_reports_a_failure(monkeypatch, capsys):
+    # the growth oracle's brute force disagrees with the bound at one grid point
+    spec = importlib.util.spec_from_file_location(
+        "exhaustive_verification", ROOT / "scripts" / "exhaustive_verification.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "max_growth_bruteforce",
+                        lambda n, i, cap: script.macaulay_bound(n, i) + ((n, i) == (2, 1)))
+    monkeypatch.setattr(sys, "argv", ["exhaustive_verification.py", "--max-degree", "4",
+                                      "--grid-n", "2", "--grid-i", "2"])
+    assert script.main() == 4
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["sweep"], r["checked"], r["failures"]) for r in records] == [
+        ("growth oracle", 4, 1), ("decompositions", 6, 0), ("refutations", 21, 0)]
+    assert err == "MISMATCH at n=2, i=1\n"
 
 
 @pytest.mark.parametrize("cap", ["2", "-1"])
@@ -61,7 +78,7 @@ def test_verification_campaign_ends_quietly_when_its_reader_closes(reads_first):
     # pipe closed; a buffered run meets the closed pipe at its final flush
     flags = ["-u"] if reads_first else []
     argv = [sys.executable, *flags, str(ROOT / "scripts" / "exhaustive_verification.py"),
-            "--max-degree", "10", "--grid-n", "1", "--grid-i", "1", "--json"]
+            "--max-degree", "10", "--grid-n", "1", "--grid-i", "1"]
     with subprocess.Popen(argv, env=script_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as process:
         if reads_first:
