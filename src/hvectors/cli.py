@@ -24,6 +24,10 @@ the package, which imports each of them on first use, so that a command
 loads only the modules it runs; after that first use the lookup is a
 dictionary read, where an import statement in the handler would cost a
 few microseconds on every call.
+
+A `--json` certificate is its result type written out by `_plain`: each NamedTuple an
+object of its fields in field order, each Enum its value.  Only `decompose` adds to it
+(`traces`, each inequality with its `holds`); `refute` renames `refuted` to `candidates`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import functools
 import os
 import re
 import sys
+from enum import Enum
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -142,13 +147,21 @@ def _is_si(violations: dict[str, int | None]) -> bool:
     return violations["symmetric"] is None and violations["first_half_differentiable"] is None
 
 
-def _json_report(
-    h: HVector, certificate, version: str = SCHEMA_VERSION, violations=None
-) -> str:
+def _plain(value):
+    """A NamedTuple as an object of its fields in order, an Enum as its value, a tuple as a list."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {field: _plain(item) for field, item in zip(value._fields, value)}
+    if isinstance(value, Enum):
+        return value._value_  # an instance read; .value is a property call
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION) -> str:
     import json  # here, not at the top, so that only --json pays for loading it
 
-    if violations is None:
-        violations = _predicate_violations(h)
+    violations = _predicate_violations(h)
     verdicts = {
         name: {"holds": violation is None, "first_violation": violation}
         for name, violation in violations.items()
@@ -164,10 +177,6 @@ def _json_report(
 
 
 def _cmd_expand(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be positive")
-    if args.i < 1:
-        raise ValueError("i must be positive")
     expansion = expand(args.n, args.i)
     print(f"{args.n} = {expansion}; bound = {expansion.bound()}")
     return EXIT_OK
@@ -177,7 +186,7 @@ def _cmd_check(h: HVector, args) -> int:
     violations = _predicate_violations(h)
     si = _is_si(violations)
     if args.json:
-        print(_json_report(h, certificate=None, violations=violations))
+        print(_json_report(h, certificate=None))
     else:
         print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
         for name, violation in violations.items():
@@ -189,15 +198,7 @@ def _cmd_check(h: HVector, args) -> int:
 def _cmd_classify(h: HVector, args) -> int:
     report = classify_gorenstein(h)
     if args.json:
-        certificate = {
-            "verdict": report.verdict._value_,  # an instance read; .value is a property call
-            "codimension": report.codimension,
-            "reasons": [
-                {"kind": reason.kind._value_, "degree": reason.degree}
-                for reason in report.reasons
-            ],
-        }
-        print(_json_report(h, certificate))
+        print(_json_report(h, _plain(report)))
     else:
         print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
         print(f"verdict: {report.verdict._value_}")
@@ -228,22 +229,10 @@ def _cmd_decompose(h: HVector, args) -> int:
     if args.pivot == 1 and h.codimension == 3 and h.entries == h.entries[::-1]:
         traces = hvectors.decomposition.verify_decomposition_traces(h, decomposition)
     if args.json:
-        certificate = {
-            "pivot": decomposition.pivot,
-            "subtrahend": list(decomposition.subtrahend),
-            "residual": list(decomposition.residual),
-            "traces": [
-                {
-                    "degree": degree,
-                    "case": case._value_,
-                    "inequalities": [
-                        {"label": label, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
-                        for label, lhs, rhs in inequalities
-                    ],
-                }
-                for degree, case, inequalities in traces
-            ],
-        }
+        certificate = {**_plain(decomposition), "traces": _plain(traces)}
+        for trace in certificate["traces"]:
+            for check in trace["inequalities"]:
+                check["holds"] = check["lhs"] <= check["rhs"]
         print(_json_report(h, certificate))
     else:
         subtrahend = _render_entries(decomposition.subtrahend)
@@ -262,16 +251,7 @@ def _cmd_decompose(h: HVector, args) -> int:
 def _cmd_refute(h: HVector, args) -> int:
     report = hvectors.decomposition.refute_non_si(h)
     if args.json:
-        certificate = {
-            "candidates": [
-                {
-                    "subtrahend": list(candidate.subtrahend),
-                    "violation_degree": candidate.violation_degree,
-                }
-                for candidate in report.refuted
-            ],
-            "survivors": [list(s) for s in report.survivors],
-        }
+        certificate = {"candidates": _plain(report.refuted), "survivors": _plain(report.survivors)}
         print(_json_report(h, certificate, REFUTE_SCHEMA_VERSION))
     else:
         print(f"candidates: {report.candidate_count}, survivors: {len(report.survivors)}")

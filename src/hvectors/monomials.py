@@ -84,11 +84,12 @@ class _LexLevels(tuple):
     __slots__ = ()
 
 
-def _check_growth(h: HVector) -> None:
-    """Raise NotAnOSequenceError at the first degree whose entry exceeds its growth bound."""
+def _check_growth(h: HVector) -> int:
+    """h's codimension; raises NotAnOSequenceError at the first degree that exceeds its bound."""
     d = _growth_violation(h.entries)
     if d is not None:
         raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
+    return h.codimension
 
 
 def _ascending_words(r: int, d: int, start: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
@@ -129,8 +130,7 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     degree that breaks Macaulay growth, before it builds any level.
     per_degree is a _LexLevels, so socle_vector answers from its sizes.
     """
-    _check_growth(h)
-    r = h.entries[1] if len(h.entries) > 1 else 0
+    r = _check_growth(h)
     held = _held_segments.get
     levels = []
     for d, size in enumerate(h.entries):
@@ -155,8 +155,7 @@ def lex_realization_names(h: HVector) -> list[list[str]]:
     nothing: time and memory are O(sum of h_d * d), the size of the text.
     Raises as lex_segment_realization does.
     """
-    _check_growth(h)
-    r = h.entries[1] if len(h.entries) > 1 else 0
+    r = _check_growth(h)
     factors = [f"*x{v + 1}" for v in range(r)]
     levels = []
     for d, size in enumerate(h.entries):

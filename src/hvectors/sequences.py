@@ -245,9 +245,8 @@ def si_violations(seq: Sequence[int]) -> tuple[Reason, ...]:
 
 
 def is_si_sequence(seq: Sequence[int]) -> bool:
-    """not si_violations(seq), and raising as it does: differentiability is tested first."""
-    entries = tuple(seq)
-    return is_differentiable(first_half(entries)) and entries == entries[::-1]
+    """An SI-sequence is one with no si_violations."""
+    return not si_violations(seq)
 
 
 class SequenceFilter(Enum):
