@@ -11,19 +11,23 @@ reader of a pipe went away, as `head` does; the command ends quietly).
 
 `main` reads a well-formed argv straight from the command table: the
 command name, then its positionals and its flags, spelled exactly, in any
-order.  Anything else (help, `--`, `--flag=value`, an abbreviation, a
-repeated flag, a missing, leftover or malformed argument) goes to the
-argparse parser, which alone prints help, usage and every argument error,
-and which is imported only then.  Canonical h-vector text (signed ASCII
-integers joined by bare commas) is read with one regular expression;
-other text is read entry by entry, so that the error names the bad entry.
+order.  It reads them through `_READERS`, one table per command built once,
+at import, from `_COMMANDS`: the positionals' names and, per flag, its
+attribute, kind, default and whether it is required.  Anything else (help,
+`--`, `--flag=value`, an abbreviation, a repeated flag, a missing, leftover
+or malformed argument) goes to the argparse parser, which alone prints
+help, usage and every argument error, and which is imported only then.
+Canonical h-vector text (signed ASCII integers joined by bare commas) is
+read with one regular expression; other text is read entry by entry, so
+that the error names the bad entry.
 
 Every command needs `sequences` (and with it `binomials`).  A handler
 reaches `monomials`, `decomposition` or `enumeration` as an attribute of
 the package, which imports each of them on first use, so that a command
 loads only the modules it runs; after that first use the lookup is a
 dictionary read, where an import statement in the handler would cost a
-few microseconds on every call.
+few microseconds on every call.  Each handler writes its answer with one
+`print`; only `enumerate` streams, one line per h-vector.
 
 A `--json` certificate is its result type written out by `_plain`: each NamedTuple an
 object of its fields in field order, each Enum its value.  Only `decompose` adds to it
@@ -158,10 +162,12 @@ def _plain(value):
     return value
 
 
-def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION) -> str:
+def _json_report(h: HVector, certificate, version: str = SCHEMA_VERSION, violations=None) -> str:
+    """The --json answer; `violations` are h's `_predicate_violations`, if the caller has them."""
     import json  # here, not at the top, so that only --json pays for loading it
 
-    violations = _predicate_violations(h)
+    if violations is None:
+        violations = _predicate_violations(h)
     verdicts = {
         name: {"holds": violation is None, "first_violation": violation}
         for name, violation in violations.items()
@@ -182,16 +188,20 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _heading(h: HVector) -> str:
+    return f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})"
+
+
 def _cmd_check(h: HVector, args) -> int:
     violations = _predicate_violations(h)
     si = _is_si(violations)
     if args.json:
-        print(_json_report(h, certificate=None))
+        print(_json_report(h, None, violations=violations))
     else:
-        print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
-        for name, violation in violations.items():
-            print(_verdict_line(name, violation))
-        print(f"si_sequence: {'true' if si else 'false'}")
+        lines = [_heading(h)]
+        lines += [_verdict_line(name, violation) for name, violation in violations.items()]
+        lines.append(f"si_sequence: {'true' if si else 'false'}")
+        print("\n".join(lines))
     return EXIT_OK if si else EXIT_NEGATIVE
 
 
@@ -200,9 +210,8 @@ def _cmd_classify(h: HVector, args) -> int:
     if args.json:
         print(_json_report(h, _plain(report)))
     else:
-        print(f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})")
-        print(f"verdict: {report.verdict._value_}")
-        print(f"reasons: {'; '.join(str(r) for r in report.reasons)}")
+        reasons = "; ".join(map(str, report.reasons))
+        print(f"{_heading(h)}\nverdict: {report.verdict._value_}\nreasons: {reasons}")
     return _VERDICT_EXIT_CODES[report.verdict]
 
 
@@ -254,9 +263,9 @@ def _cmd_refute(h: HVector, args) -> int:
         certificate = {"candidates": _plain(report.refuted), "survivors": _plain(report.survivors)}
         print(_json_report(h, certificate, REFUTE_SCHEMA_VERSION))
     else:
-        print(f"candidates: {report.candidate_count}, survivors: {len(report.survivors)}")
-        for survivor in report.survivors:
-            print(f"SURVIVOR: {_render_entries(survivor)}")
+        lines = [f"candidates: {report.candidate_count}, survivors: {len(report.survivors)}"]
+        lines += [f"SURVIVOR: {_render_entries(survivor)}" for survivor in report.survivors]
+        print("\n".join(lines))
     if report.survivors:
         print(
             "error: refutation produced a surviving candidate; this is a bug",
@@ -285,6 +294,38 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+_STORE_TRUE, _INTEGER_KIND = "store_true", "integer"  # two kinds of flag; see _reader
+
+
+def _reader(handler, flags):
+    """A command's `_read` table, from its `_COMMANDS` flags.
+
+    (handler, positionals, options, defaults, required): positionals holds
+    (attribute, kind) in order, options maps each flag's spelling to its
+    (attribute, kind), defaults holds each optional flag's default and
+    required every attribute a well-formed argv must give.  A kind is
+    `_STORE_TRUE`, `_INTEGER_KIND`, a tuple of choices, or None for plain text.
+    """
+    positionals, options, defaults, required = [], {}, {}, set()
+    for flag, keywords in flags:
+        name = flag.lstrip("-").replace("-", "_")
+        if keywords.get("action") == _STORE_TRUE:
+            kind = _STORE_TRUE
+        elif "type" in keywords:  # _integer_flag, the one type in the table
+            kind = _INTEGER_KIND
+        else:
+            kind = tuple(keywords["choices"]) if "choices" in keywords else None
+        if flag[0] != "-":
+            positionals.append((name, kind))
+        else:
+            options[flag] = (name, kind)
+        if keywords.get("required", flag[0] != "-"):
+            required.add(name)
+        else:
+            defaults[name] = keywords.get("default", False)  # only store_true flags have no default
+    return handler, tuple(positionals), options, defaults, frozenset(required)
+
+
 _HVECTOR = ("hvector", {})
 _JSON = ("--json", {"action": "store_true"})
 
@@ -310,6 +351,7 @@ _COMMANDS = {
         ("--count-only", {"action": "store_true"}),
     )),
 }
+_READERS = {name: _reader(handler, flags) for name, (handler, _, flags) in _COMMANDS.items()}
 
 
 @functools.cache
@@ -342,46 +384,42 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     each at most once, each value not starting with "-".  Returns None for
     any other argv, so that the parser answers it, help and errors included.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
         return None
-    handler, _, flags = _COMMANDS[argv[0]]
-    keywords_of = dict(flags)
-    positionals = iter([flag for flag, _ in flags if flag[0] != "-"])
+    handler, positionals, options, defaults, required = reader
     given = {}
+    at = 0  # the next positional
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
-            flag, text = next(positionals, None), token
-            if flag is None:
+            if at == len(positionals):
                 return None
+            name, kind = positionals[at]
+            at += 1
+            text = token
         else:
-            flag = token
-            keywords = keywords_of.get(flag)  # a positional's name never starts with "-"
-            if keywords is None or flag in given:
+            name, kind = options.get(token, (None, None))
+            if name is None or name in given:
                 return None
-            if keywords.get("action") == "store_true":
-                text = True
-            else:
-                text = next(tokens, "-")  # a missing value reads as a flag
-                if text[:1] == "-":
-                    return None
-        given[flag] = text
-    values = {"func": handler}
-    for flag, keywords in flags:
-        value = given.get(flag)
-        if value is None:
-            if keywords.get("required", flag[0] != "-"):
+            if kind is _STORE_TRUE:
+                given[name] = True
+                continue
+            text = next(tokens, "-")  # a missing value reads as a flag
+            if text[:1] == "-":
                 return None
-            value = keywords.get("default", False)  # only store_true flags have no default
-        elif "type" in keywords:  # _integer_flag, the one type in the table
-            try:
-                value = _parse_integer(value.strip())
-            except ValueError:
+        if kind is _INTEGER_KIND:
+            text = text.strip()
+            if not _INTEGER.fullmatch(text):
                 return None
-        elif "choices" in keywords and value not in keywords["choices"]:
+            given[name] = int(text)
+        elif kind is None or text in kind:
+            given[name] = text
+        else:
             return None
-        values[flag.lstrip("-").replace("-", "_")] = value
-    return SimpleNamespace(**values)
+    if not required <= given.keys():
+        return None
+    return SimpleNamespace(func=handler, **{**defaults, **given})
 
 
 def _parse_args(argv: Sequence[str] | None):

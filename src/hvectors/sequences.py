@@ -232,16 +232,21 @@ class ClassificationReport(NamedTuple):
     reasons: tuple[Reason, ...]
 
 
+_new = tuple.__new__  # builds a Reason or report at C level, past the NamedTuple's Python __new__
+_SI_WITNESS = (Reason(ReasonKind.SI_WITNESS),)
+_OUT_OF_SCOPE = (Reason(ReasonKind.OUT_OF_SCOPE_CODIMENSION),)
+
+
 def si_violations(seq: Sequence[int]) -> tuple[Reason, ...]:
     """Reasons an h-vector fails to be an SI-sequence; empty means it is one."""
-    reasons: list[Reason] = []
+    reasons: tuple[Reason, ...] = ()
     sym = symmetry_violation(seq)
     if sym is not None:
-        reasons.append(Reason(ReasonKind.NOT_SYMMETRIC, sym))
+        reasons = (_new(Reason, (ReasonKind.NOT_SYMMETRIC, sym)),)
     diff = differentiability_violation(first_half(seq))
     if diff is not None:
-        reasons.append(Reason(ReasonKind.FIRST_HALF_NOT_DIFFERENTIABLE, diff))
-    return tuple(reasons)
+        reasons += (_new(Reason, (ReasonKind.FIRST_HALF_NOT_DIFFERENTIABLE, diff)),)
+    return reasons
 
 
 def is_si_sequence(seq: Sequence[int]) -> bool:
@@ -270,16 +275,14 @@ def classify_gorenstein(h: HVector) -> ClassificationReport:
     codim = h.codimension
     violations = si_violations(h.entries)
     if not violations:
-        return ClassificationReport(Verdict.GORENSTEIN, codim, (Reason(ReasonKind.SI_WITNESS),))
+        return _new(ClassificationReport, (Verdict.GORENSTEIN, codim, _SI_WITNESS))
     if codim <= 3:
-        return ClassificationReport(Verdict.NOT_GORENSTEIN, codim, violations)
+        return _new(ClassificationReport, (Verdict.NOT_GORENSTEIN, codim, violations))
     if violations[0].kind is ReasonKind.NOT_SYMMETRIC:  # si_violations lists symmetry first
-        return ClassificationReport(Verdict.NOT_GORENSTEIN, codim, violations[:1])
+        return _new(ClassificationReport, (Verdict.NOT_GORENSTEIN, codim, violations[:1]))
     growth = o_sequence_violation(h.entries)
     if growth is not None:
-        return ClassificationReport(
-            Verdict.NOT_GORENSTEIN, codim, (Reason(ReasonKind.NOT_O_SEQUENCE, growth),)
-        )
-    return ClassificationReport(
-        Verdict.UNDECIDED, codim, (Reason(ReasonKind.OUT_OF_SCOPE_CODIMENSION),)
-    )
+        reasons = (_new(Reason, (ReasonKind.NOT_O_SEQUENCE, growth)),)
+        return _new(ClassificationReport, (Verdict.NOT_GORENSTEIN, codim, reasons))
+    return _new(ClassificationReport, (Verdict.UNDECIDED, codim, _OUT_OF_SCOPE))
+

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -281,6 +282,15 @@ class TestDecomposeAndRefute:
         assert entries
         for entry in entries:
             assert naive_refutes(values, entry["subtrahend"], entry["violation_degree"]), entry
+
+    def test_refute_survivors_are_printed_and_exit_four(self, capsys, monkeypatch):
+        def surviving(h):
+            return decomposition.RefutationReport(h, (), ((1, 2, 1), (1, 3, 3, 1)))
+
+        monkeypatch.setattr(decomposition, "refute_non_si", surviving)
+        code, out, err = run(capsys, "refute", "1,3,6,6,5,6,6,3,1")
+        assert (code, out) == (4, "candidates: 2, survivors: 2\nSURVIVOR: 1,2,1\nSURVIVOR: 1,3,3,1\n")
+        assert err == "error: refutation produced a surviving candidate; this is a bug\n"
 
     def test_refute_over_budget_exits_five(self, capsys, monkeypatch):
         monkeypatch.setattr(decomposition, "REFUTE_CANDIDATE_BUDGET", 2)
@@ -572,6 +582,39 @@ def test_reader_builds_what_the_full_parser_builds(data):
     read = cli._read(argv)
     if read is not None:
         assert vars(read) == _full_parse(argv), argv
+
+
+def _well_formed_argvs():
+    """Every command with every subset of its optional flags, its units in every order.
+
+    A unit is a positional's token or a flag with its value; each integer is
+    its flag's place in the command's table, so that two swapped values show.
+    """
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        units, optional = [], []
+        for place, (flag, keywords) in enumerate(flags):
+            if "choices" in keywords:
+                value = keywords["choices"][-1]  # not the default
+            else:
+                value = str(place + 2) if "type" in keywords else "1,3,4,3,1"
+            if flag[0] != "-":
+                units.append((value,))
+            elif keywords.get("action") == "store_true":
+                optional.append((flag,))
+            else:
+                (units if keywords.get("required") else optional).append((flag, value))
+        for size in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, size):
+                for order in itertools.permutations(units + list(chosen)):
+                    yield [command, *(token for unit in order for token in unit)]
+
+
+def test_reader_builds_what_the_full_parser_builds_on_every_well_formed_shape():
+    argvs = list(_well_formed_argvs())
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    for argv in argvs:
+        read = cli._read(argv)
+        assert read is not None and vars(read) == _full_parse(argv), argv
 
 
 @pytest.mark.parametrize("argv, accepted", [

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from bruteforce import naive_differentiability_violation, naive_growth_violation, naive_hvector
 
 from hvectors import (
+    ClassificationReport,
     HVector,
+    Reason,
     ReasonKind,
     Verdict,
     classify_gorenstein,
@@ -306,6 +308,27 @@ class TestClassifier:
         report = classify_gorenstein(HVector((1, 4, 11, 4, 1)))
         assert report.verdict == Verdict.NOT_GORENSTEIN
         assert report.reasons[0].kind == ReasonKind.NOT_O_SEQUENCE
+
+    @pytest.mark.parametrize("entries, verdict, reasons", [
+        ((1, 3, 3, 1), Verdict.GORENSTEIN, ((ReasonKind.SI_WITNESS,),)),
+        # codimension <= 3 keeps both reasons
+        ((1, 3, 2, 1, 1), Verdict.NOT_GORENSTEIN,
+         ((ReasonKind.NOT_SYMMETRIC, 1), (ReasonKind.FIRST_HALF_NOT_DIFFERENTIABLE, 2))),
+        # codimension >= 4 keeps only the symmetry reason
+        ((1, 4, 3, 1, 1), Verdict.NOT_GORENSTEIN, ((ReasonKind.NOT_SYMMETRIC, 1),)),
+        ((1, 4, 11, 4, 1), Verdict.NOT_GORENSTEIN, ((ReasonKind.NOT_O_SEQUENCE, 1),)),
+        ((1, 13, 12, 13, 1), Verdict.UNDECIDED, ((ReasonKind.OUT_OF_SCOPE_CODIMENSION,),)),
+    ])
+    def test_each_branch_builds_the_public_types(self, entries, verdict, reasons):
+        report = classify_gorenstein(HVector(entries))
+        expected = ClassificationReport(verdict, entries[1], tuple(Reason(*r) for r in reasons))
+        assert type(report) is ClassificationReport
+        assert all(type(reason) is Reason for reason in report.reasons)
+        assert report._asdict() == expected._asdict()
+        assert [r._asdict() for r in report.reasons] == [r._asdict() for r in expected.reasons]
+        assert repr(report) == repr(expected)
+        assert hash(report) == hash(expected)
+        assert list(map(str, report.reasons)) == list(map(str, expected.reasons))
 
     @given(small_hvectors())
     def test_report_invariants(self, h):
