@@ -17,9 +17,12 @@ attribute, kind, default and whether it is required.  Anything else (help,
 `--`, `--flag=value`, an abbreviation, a repeated flag, a missing, leftover
 or malformed argument) goes to the argparse parser, which alone prints
 help, usage and every argument error, and which is imported only then.
-Canonical h-vector text (signed ASCII integers joined by bare commas) is
-read with one regular expression; other text is read entry by entry, so
-that the error names the bad entry.
+Normal h-vector text (`1`, then positive ASCII integers with no sign or
+leading zero, joined by bare commas) is the `str` of its HVector: one
+regular expression tells it, and it is built with no check and shown as
+typed.  Other canonical text (signed or zero-padded integers, or a zero
+tail) is read with one more expression and checked; the rest is read
+entry by entry, so that the error names the bad entry.
 
 Every command needs `sequences` (and with it `binomials`).  A handler
 reaches `monomials`, `decomposition` or `enumeration` as an attribute of
@@ -52,10 +55,11 @@ from .sequences import (
     HVector,
     SequenceFilter,
     Verdict,
+    _growth_violation,
+    _normal_hvector,
     classify_gorenstein,
     differentiability_violation,
     first_half,
-    o_sequence_violation,
     strip_trailing_zeros,
     symmetry_violation,
     unimodality_violation,
@@ -85,6 +89,8 @@ _VERDICT_EXIT_CODES = {
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # canonical h-vector text: such integers joined by bare commas, no whitespace
 _CANONICAL_HVECTOR = re.compile(rf"{_INTEGER.pattern}(?:,{_INTEGER.pattern})*")
+# normal h-vector text: 1, then positive integers with no sign or leading zero; it is str(h)
+_NORMAL_HVECTOR = re.compile(r"1(?:,[1-9][0-9]*)*")
 
 # Checked in order: NotAnOSequenceError is a ValueError, so it must come first.
 # The ValueError row also covers UnsupportedCodimensionError,
@@ -115,31 +121,33 @@ def _integer_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_hvector(text: str) -> HVector:
+def _parse_hvector(text: str) -> tuple[HVector, str]:
+    """The HVector of text, and its normal text: text itself if normal, else str(h)."""
+    if _NORMAL_HVECTOR.fullmatch(text):  # plain ints >= 1 from 1 on: nothing for HVector to check
+        return _normal_hvector(tuple(map(int, text.split(",")))), text
     if _CANONICAL_HVECTOR.fullmatch(text):
-        return HVector(map(int, text.split(",")))
-    # whitespace or a malformed entry: token by token, so that the error names it
-    values = []
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            raise ValueError(f"empty entry in {text!r}")
-        values.append(_parse_integer(token))
-    return HVector(values)
+        h = HVector(map(int, text.split(",")))
+    else:  # whitespace or a malformed entry: token by token, so that the error names it
+        values = []
+        for token in (t.strip() for t in text.split(",")):
+            if not token:
+                raise ValueError(f"empty entry in {text!r}")
+            values.append(_parse_integer(token))
+        h = HVector(values)
+    return h, str(h)
 
 
 def _render_entries(entries: Sequence[int]) -> str:
     return ",".join(map(str, entries))
 
 
-def _verdict_line(name: str, violation: int | None) -> str:
-    if violation is None:
-        return f"{name}: true"
-    return f"{name}: false (first violation at degree {violation})"
+def _verdict(violation: int | None) -> str:
+    return "true" if violation is None else f"false (first violation at degree {violation})"
 
 
 def _predicate_violations(h: HVector) -> dict[str, int | None]:
-    return {
-        "o_sequence": o_sequence_violation(h.entries),
+    return {  # an HVector meets the guards of o_sequence_violation, so its walk runs alone
+        "o_sequence": _growth_violation(h.entries),
         "symmetric": symmetry_violation(h.entries),
         "unimodal": unimodality_violation(h.entries),
         "first_half_differentiable": differentiability_violation(first_half(h.entries)),
@@ -188,8 +196,11 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _heading(h: HVector) -> str:
-    return f"h = {h} (socle degree {h.socle_degree}, codimension {h.codimension})"
+# the first line of check and classify; args.hvector is h's normal text (see main)
+_HEADING = "h = {} (socle degree {}, codimension {})\n"
+_CHECK = _HEADING + (
+    "o_sequence: {}\nsymmetric: {}\nunimodal: {}\nfirst_half_differentiable: {}\nsi_sequence: {}"
+)
 
 
 def _cmd_check(h: HVector, args) -> int:
@@ -198,10 +209,8 @@ def _cmd_check(h: HVector, args) -> int:
     if args.json:
         print(_json_report(h, None, violations=violations))
     else:
-        lines = [_heading(h)]
-        lines += [_verdict_line(name, violation) for name, violation in violations.items()]
-        lines.append(f"si_sequence: {'true' if si else 'false'}")
-        print("\n".join(lines))
+        print(_CHECK.format(args.hvector, h.socle_degree, h.codimension,
+                            *map(_verdict, violations.values()), "true" if si else "false"))
     return EXIT_OK if si else EXIT_NEGATIVE
 
 
@@ -211,7 +220,8 @@ def _cmd_classify(h: HVector, args) -> int:
         print(_json_report(h, _plain(report)))
     else:
         reasons = "; ".join(map(str, report.reasons))
-        print(f"{_heading(h)}\nverdict: {report.verdict._value_}\nreasons: {reasons}")
+        heading = _HEADING.format(args.hvector, h.socle_degree, h.codimension)
+        print(f"{heading}verdict: {report.verdict._value_}\nreasons: {reasons}")
     return _VERDICT_EXIT_CODES[report.verdict]
 
 
@@ -449,7 +459,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             args = _parse_args(argv)
             if "hvector" in vars(args):
-                return args.func(_parse_hvector(args.hvector), args)
+                h, args.hvector = _parse_hvector(args.hvector)
+                return args.func(h, args)
             return args.func(args)
         except tuple(kind for kind, _ in _EXIT_CODES) as exc:
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -9,7 +9,7 @@ none of it shares a code path with the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 
@@ -282,6 +282,49 @@ def naive_max_growth(n: int, i: int, r: int) -> int:
         if count > best:
             best = count
     return best
+
+
+def naive_gorenstein_hvectors(e: int, diesel: bool = True) -> set[tuple[int, ...]]:
+    """The h-vectors of codimension-3 Gorenstein algebras of socle degree e, from their resolutions.
+
+    Buchsbaum and Eisenbud (Amer. J. Math. 99, 1977): such an algebra R/I,
+    with R = k[x, y, z], has I generated by the 2k+1 submaximal Pfaffians of
+    an alternating matrix, and is resolved as
+    0 -> R(-t) -> sum R(d_i - t) -> sum R(-d_i) -> R, with t = e + 3 and
+    generator degrees d_1 <= ... <= d_{2k+1} summing to k*t.  Its Hilbert
+    series is (1 - sum z^d_i + sum z^(t - d_i) - z^t) / (1 - z)^3.  Diesel
+    (Pacific J. Math. 172, 1996): the degrees occur exactly when the matrix
+    entries of degree t - d_i - d_(2k+3-i) are positive, that is when
+    d_i + d_(2k+3-i) < t for 2 <= i <= k+1; d_1 >= 2 makes h_1 = 3.
+
+    The search is finite.  Those k pairs hold every degree but d_1, so
+    d_1 = k*t - (their sum) >= k*t - k*(t - 1) = k; and 2*d_1 <= d_2 + d_(2k+1) < t.
+    So k <= d_1 < t/2, and each later degree lies in d_1 .. t-1-d_1, as its
+    pair partner is at least d_1.
+
+    diesel=False drops the condition and keeps that box, so that a test can
+    see the condition matter.  Nothing here uses Macaulay's bound.
+    """
+    t = e + 3
+    found = set()
+    for d1 in range(2, (t + 1) // 2):
+        for k in range(1, d1 + 1):
+            for rest in combinations_with_replacement(range(d1, t - d1), 2 * k):
+                degrees = (d1, *rest)
+                if sum(degrees) != k * t:
+                    continue
+                if diesel and any(degrees[i - 1] + degrees[2 * k + 2 - i] >= t for i in range(2, k + 2)):
+                    continue
+                series = [1] + [0] * t  # the numerator, then divided by 1 - z three times
+                series[t] -= 1
+                for d in degrees:
+                    series[d] -= 1
+                    series[t - d] += 1
+                for _ in range(3):
+                    series = list(accumulate(series))
+                assert series[e + 1:] == [0, 0, 0], degrees  # a polynomial of degree e
+                found.add(tuple(series[: e + 1]))
+    return found
 
 
 def full_box_vectors(e: int, codim: int, cap: int) -> Iterator[tuple[int, ...]]:

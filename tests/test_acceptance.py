@@ -11,7 +11,12 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 from random import Random
 
-from bruteforce import full_box_vectors, lex_divisor_masks, mirrored_symmetric_vectors
+from bruteforce import (
+    full_box_vectors,
+    lex_divisor_masks,
+    mirrored_symmetric_vectors,
+    naive_gorenstein_hvectors,
+)
 from hvectors import (
     EnumerationSpec,
     HVector,
@@ -21,6 +26,7 @@ from hvectors import (
     binom,
     classify_gorenstein,
     complete_intersection_hvector,
+    count_by_degree,
     enumerate_hvectors,
     find_pivot_decomposition,
     hilbert_function,
@@ -291,3 +297,20 @@ def test_criterion_8_cli_golden_files(capsys):
             out = capsys.readouterr().out
             assert code == expected_code, argv
             assert out == (GOLDEN_DIR / golden).read_text(), argv
+
+
+def test_criterion_9_si_sequences_are_the_gorenstein_hvectors_of_their_resolutions():
+    with criterion(9, "codim-3 SI stream at the full cap equals the Buchsbaum-Eisenbud-Diesel "
+                      "h-vectors (e<=14)"):
+        assert naive_gorenstein_hvectors(0) == naive_gorenstein_hvectors(1) == set()
+        for e in range(2, 15):
+            cap = binom(e // 2 + 2, 2)  # h_(e//2) of the generic vector, the largest entry any SI vector has
+            spec = EnumerationSpec(socle_degree=e, codimension=3, entry_cap=cap,
+                                   filter=SequenceFilter.SI)
+            si = [tuple(h) for h in enumerate_hvectors(spec)]
+            gorenstein = naive_gorenstein_hvectors(e)
+            assert set(si) == gorenstein, e
+            assert count_by_degree(3, e, cap, SequenceFilter.SI)[e] == len(si), e
+            assert all(classify_gorenstein(HVector(h)).verdict is Verdict.GORENSTEIN for h in si), e
+            if e >= 8:  # the box holds degree sequences that break Diesel's condition from e = 8 on
+                assert naive_gorenstein_hvectors(e, diesel=False) > gorenstein, e

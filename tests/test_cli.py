@@ -503,16 +503,72 @@ _PADDED_TOKEN = st.builds(
 )
 
 
-@given(st.one_of(st.text("0123456789+-,_\u0663 \x1c", max_size=12),
-                 st.lists(_PADDED_TOKEN, min_size=1, max_size=6).map(",".join)))
-@example("1,3,\x1c3,1")  # \x1c is whitespace to str.strip and \s, but int() refuses "\x1c3"
+# h-vector text, normal or not: each entry unsigned, signed, zero-padded, zero or not ASCII
+_ENTRY = st.one_of(
+    st.integers(1, 30).map(str),
+    st.builds(lambda sign, zeros, value: sign + "0" * zeros + str(value),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2), st.integers(0, 30)),
+    st.sampled_from(["\u0661", "\u0662", "\uff13"]),
+)
+_SPELLED_HVECTOR = st.one_of(
+    st.lists(st.integers(1, 30), max_size=7).map(lambda xs: ",".join(map(str, [1, *xs]))),
+    st.builds(lambda first, rest: ",".join([first, *rest]),
+              st.sampled_from(["1", "+1", "01", "001", "-1", "0", "2", "\u0661"]),
+              st.lists(_ENTRY, max_size=7)),
+)
+
+
+# normal text, and other text that reads as the same vector or is refused
+_SPELLINGS = ["1", "1,3,3,1", "+1,3,3,1", "01,3,03,1", "1,03", "1,3,+3,1", "00001", "1,0",
+              "1,1,0,0", "1,3,3,1,0", "1,-3,3,1", "-1,3", "1,0,2", "\u0661,\u0662", "1,\uff13"]
+
+
+def with_spellings(test):
+    """Run a @given(text) test on each spelling in _SPELLINGS as well."""
+    for text in _SPELLINGS:
+        test = example(text=text)(test)
+    return test
+
+
+@given(text=st.one_of(st.text("0123456789+-,_\u0663 \x1c", max_size=12),
+                      st.lists(_PADDED_TOKEN, min_size=1, max_size=6).map(",".join),
+                      _SPELLED_HVECTOR))
+@example(text="1,3,\x1c3,1")  # \x1c is whitespace to str.strip and \s, but int() refuses "\x1c3"
+@with_spellings
 def test_parse_hvector_reads_what_the_naive_rule_reads(text):
     kept, message = naive_parse_hvector(text)
-    if message is None:
-        assert cli._parse_hvector(text).entries == kept
+    if message is None:  # the HVector of the naive rule's entries, and its str
+        h, normal = cli._parse_hvector(text)
+        assert (type(h), h, normal) == (HVector, HVector(kept), str(HVector(kept)))
+        assert set(map(type, h.entries)) == {int}
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cli._parse_hvector(text)
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+@given(text=_SPELLED_HVECTOR)
+@with_spellings
+def test_check_and_classify_head_their_answer_with_str_h(command, text):
+    kept, message = naive_parse_hvector(text)
+    code, out, err = outcome((command, "--", text) if text[:1] == "-" else (command, text))
+    if message is None:
+        h = HVector(kept)
+        codimension = kept[1] if len(kept) > 1 else 0
+        assert out.split("\n")[0] == (
+            f"h = {str(h)} (socle degree {len(kept) - 1}, codimension {codimension})")
+        assert err == ""
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit")
+@pytest.mark.parametrize("text", ["1," + "2" * 5000, "+1," + "2" * 5000, "1,0" + "2" * 4999])
+@pytest.mark.parametrize("command", ["check", "classify", "decompose"])
+def test_an_entry_past_the_int_digit_limit_exits_two_with_the_int_error(text, command):
+    with pytest.raises(ValueError) as refused:
+        int(text.partition(",")[2])
+    assert outcome((command, text)) == (2, "", f"error: {refused.value}\n")
 
 
 _HVECTOR_TEXT = st.lists(st.integers(-1, 12), max_size=7).map(lambda xs: ",".join(map(str, xs)))
@@ -691,7 +747,7 @@ def test_socle_exits_as_realize_does_and_prints_the_probed_socle(text):
     code, out, err = outcome(("socle", "--", text))  # "--", so that "-1,2" is no flag
     assert (code, err) == outcome(("realize", "--", text))[::2]
     if code == 0:
-        table = lex_segment_realization(cli._parse_hvector(text))
+        table = lex_segment_realization(cli._parse_hvector(text)[0])
         probed = socle_vector(SurvivorTable(table.num_variables, tuple(table.per_degree)))
         assert out == f"{probed}\n"
 

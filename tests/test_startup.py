@@ -87,6 +87,30 @@ def test_only_help_and_errors_load_argparse():
     assert helped.stderr == "0 True\n"
 
 
+# what a check adds to a bare start without site: its own imports (functools, math, typing,
+# os, re, enum, types, operator, importlib) and theirs, on Python 3.10 to 3.13
+CHECK_STDLIB = {
+    "collections", "contextlib", "copyreg", "enum", "functools", "genericpath",
+    "importlib", "itertools", "keyword", "math", "operator", "os", "posixpath", "re", "reprlib",
+    "sre_compile", "sre_constants", "sre_parse", "stat", "types", "typing", "warnings",
+}
+
+
+def top_level_without_site(statement):
+    """Top-level names in sys.modules after statement under `python -S`, `_`-prefixed ones left out."""
+    result = run_python("-S", "-c", f"import sys; {statement}; sys.stderr.write(' '.join(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    return {name.partition(".")[0] for name in result.stderr.split() if name[0] != "_"}
+
+
+def test_check_without_site_loads_only_the_stated_stdlib_modules():
+    # with site, a .pth hook may load these first, and the bare-start comparison above sees nothing
+    added = (top_level_without_site('from hvectors.cli import main; main(["check", "1,3,3,1"])')
+             - top_level_without_site("pass"))
+    assert "hvectors" in added
+    assert added - {"hvectors"} <= CHECK_STDLIB, sorted(added - {"hvectors"} - CHECK_STDLIB)
+
+
 def test_import_leaves_out_dataclasses_inspect_and_json():
     added = loaded_modules("import hvectors.cli") - loaded_modules("pass")
     assert "hvectors.cli" in added
