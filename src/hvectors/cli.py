@@ -19,10 +19,10 @@ or malformed argument) goes to the argparse parser, which alone prints
 help, usage and every argument error, and which is imported only then.
 Normal h-vector text (`1`, then positive ASCII integers with no sign or
 leading zero, joined by bare commas) is the `str` of its HVector: one
-regular expression tells it, and it is built with no check and shown as
-typed.  Other canonical text (signed or zero-padded integers, or a zero
-tail) is read with one more expression and checked; the rest is read
-entry by entry, so that the error names the bad entry.
+regular expression tells it, its HVector is built with no check, and
+`check` and `classify` show it as typed.  Other text is read and checked
+entry by entry, so that the error names the bad entry, and is shown as
+`str(h)`.
 
 Every command needs `sequences` (and with it `binomials`).  A handler
 reaches `monomials`, `decomposition` or `enumeration` as an attribute of
@@ -87,8 +87,6 @@ _VERDICT_EXIT_CODES = {
 }
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# canonical h-vector text: such integers joined by bare commas, no whitespace
-_CANONICAL_HVECTOR = re.compile(rf"{_INTEGER.pattern}(?:,{_INTEGER.pattern})*")
 # normal h-vector text: 1, then positive integers with no sign or leading zero; it is str(h)
 _NORMAL_HVECTOR = re.compile(r"1(?:,[1-9][0-9]*)*")
 
@@ -121,20 +119,16 @@ def _integer_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_hvector(text: str) -> tuple[HVector, str]:
-    """The HVector of text, and its normal text: text itself if normal, else str(h)."""
+def _parse_hvector(text: str) -> HVector:
     if _NORMAL_HVECTOR.fullmatch(text):  # plain ints >= 1 from 1 on: nothing for HVector to check
-        return _normal_hvector(tuple(map(int, text.split(",")))), text
-    if _CANONICAL_HVECTOR.fullmatch(text):
-        h = HVector(map(int, text.split(",")))
-    else:  # whitespace or a malformed entry: token by token, so that the error names it
-        values = []
-        for token in (t.strip() for t in text.split(",")):
-            if not token:
-                raise ValueError(f"empty entry in {text!r}")
-            values.append(_parse_integer(token))
-        h = HVector(values)
-    return h, str(h)
+        return _normal_hvector(tuple(map(int, text.split(","))))
+    # a sign, a leading zero, a zero entry, whitespace or a malformed entry: token by token
+    values = []
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            raise ValueError(f"empty entry in {text!r}")
+        values.append(_parse_integer(token))
+    return HVector(values)
 
 
 def _render_entries(entries: Sequence[int]) -> str:
@@ -196,10 +190,14 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-# the first line of check and classify; args.hvector is h's normal text (see main)
-_HEADING = "h = {} (socle degree {}, codimension {})\n"
-_CHECK = _HEADING + (
-    "o_sequence: {}\nsymmetric: {}\nunimodal: {}\nfirst_half_differentiable: {}\nsi_sequence: {}"
+def _heading(h: HVector, text: str) -> str:
+    """The first line of check and classify; normal text is str(h), so it is shown as typed."""
+    shown = text if _NORMAL_HVECTOR.fullmatch(text) else h
+    return f"h = {shown} (socle degree {h.socle_degree}, codimension {h.codimension})"
+
+
+_CHECK = (  # heading, then the verdicts
+    "{}\no_sequence: {}\nsymmetric: {}\nunimodal: {}\nfirst_half_differentiable: {}\nsi_sequence: {}"
 )
 
 
@@ -209,8 +207,8 @@ def _cmd_check(h: HVector, args) -> int:
     if args.json:
         print(_json_report(h, None, violations=violations))
     else:
-        print(_CHECK.format(args.hvector, h.socle_degree, h.codimension,
-                            *map(_verdict, violations.values()), "true" if si else "false"))
+        print(_CHECK.format(_heading(h, args.hvector), *map(_verdict, violations.values()),
+                            "true" if si else "false"))
     return EXIT_OK if si else EXIT_NEGATIVE
 
 
@@ -220,8 +218,7 @@ def _cmd_classify(h: HVector, args) -> int:
         print(_json_report(h, _plain(report)))
     else:
         reasons = "; ".join(map(str, report.reasons))
-        heading = _HEADING.format(args.hvector, h.socle_degree, h.codimension)
-        print(f"{heading}verdict: {report.verdict._value_}\nreasons: {reasons}")
+        print(f"{_heading(h, args.hvector)}\nverdict: {report.verdict._value_}\nreasons: {reasons}")
     return _VERDICT_EXIT_CODES[report.verdict]
 
 
@@ -459,8 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             args = _parse_args(argv)
             if "hvector" in vars(args):
-                h, args.hvector = _parse_hvector(args.hvector)
-                return args.func(h, args)
+                return args.func(_parse_hvector(args.hvector), args)
             return args.func(args)
         except tuple(kind for kind, _ in _EXIT_CODES) as exc:
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -97,8 +97,11 @@ _set_entries = HVector.entries.__set__
 def _normal_hvector(entries: tuple[int, ...]) -> HVector:
     """The HVector of entries already in its normal form: plain ints >= 1, the first 1.
 
-    It skips __init__'s checks, so a caller vouches for the entries; the
-    enumeration streams do, as they walk only boxes EnumerationSpec checked.
+    It skips __init__'s checks, so a caller vouches for the entries.  The
+    enumeration streams do, as they walk only boxes EnumerationSpec checked;
+    so does cli._parse_hvector, which calls it only on text that fully
+    matches `1(?:,[1-9][0-9]*)*`, whose int() entries are plain ints >= 1,
+    start at 1 and have no zero tail.
     """
     h = object.__new__(HVector)
     _set_entries(h, entries)

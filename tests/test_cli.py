@@ -537,9 +537,9 @@ def with_spellings(test):
 @with_spellings
 def test_parse_hvector_reads_what_the_naive_rule_reads(text):
     kept, message = naive_parse_hvector(text)
-    if message is None:  # the HVector of the naive rule's entries, and its str
-        h, normal = cli._parse_hvector(text)
-        assert (type(h), h, normal) == (HVector, HVector(kept), str(HVector(kept)))
+    if message is None:  # the HVector of the naive rule's entries
+        h = cli._parse_hvector(text)
+        assert (type(h), h) == (HVector, HVector(kept))
         assert set(map(type, h.entries)) == {int}
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -747,7 +747,7 @@ def test_socle_exits_as_realize_does_and_prints_the_probed_socle(text):
     code, out, err = outcome(("socle", "--", text))  # "--", so that "-1,2" is no flag
     assert (code, err) == outcome(("realize", "--", text))[::2]
     if code == 0:
-        table = lex_segment_realization(cli._parse_hvector(text)[0])
+        table = lex_segment_realization(cli._parse_hvector(text))
         probed = socle_vector(SurvivorTable(table.num_variables, tuple(table.per_degree)))
         assert out == f"{probed}\n"
 
