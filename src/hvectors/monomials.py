@@ -65,23 +65,81 @@ class SurvivorTable(NamedTuple):
     The complement is closed under multiplication by variables, so every
     one-step divisor of a survivor survives too; a monomial whose divisors
     all survive may still be cut.  Functions that read a table rely only on
-    per_degree[d] holding degree-d exponent tuples of length num_variables;
-    they do not assume a level is ordered, free of repeats, or part of an
-    order ideal.
+    per_degree[d] being a sequence of degree-d exponent tuples of length
+    num_variables; they do not assume a level is ordered, free of repeats,
+    or part of an order ideal.  A level is a tuple, or in a lex realization
+    a _SegmentTail, which reads, compares, hashes and pickles as one.
     """
 
     num_variables: int
-    per_degree: tuple[tuple[Monomial, ...], ...]
+    per_degree: tuple[Sequence[Monomial], ...]
 
     @property
     def socle_degree(self) -> int:
         return len(self.per_degree) - 1
 
 
-class _LexLevels(tuple):
-    """The per_degree of a lex realization; it acts as the plain tuple."""
+class _SegmentTail:
+    """The last size monomials of a held segment longer than size: a level of a lex realization.
 
-    __slots__ = ()
+    len() reads the size alone.  Any other read slices segment[-size:] the
+    first time and keeps only that tuple, so a level costs O(h_d) on its
+    first read and nothing before.  It equals, hashes, prints, iterates,
+    indexes and slices as that tuple; pickled or deep-copied, it is that
+    tuple.  Until its first read it keeps the segment alive, even after a
+    longer one is held in its place.
+    """
+
+    __slots__ = ("_monomials", "_size")
+
+    def __init__(self, segment: tuple[Monomial, ...], size: int) -> None:
+        self._monomials = segment
+        self._size = size
+
+    def _tuple(self) -> tuple[Monomial, ...]:
+        monomials = self._monomials
+        if len(monomials) != self._size:
+            monomials = self._monomials = monomials[-self._size :]
+        return monomials
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return iter(self._tuple())
+
+    def __reversed__(self) -> Iterator[Monomial]:
+        return reversed(self._tuple())
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def index(self, monomial, *bounds) -> int:
+        return self._tuple().index(monomial, *bounds)
+
+    def count(self, monomial) -> int:
+        return self._tuple().count(monomial)
+
+    def __eq__(self, other) -> bool:
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
+class _LexLevels(tuple):
+    """The per_degree of a lex realization; it acts as the plain tuple.
+
+    hilbert is the realized HVector, so its sizes are read with no len() per level.
+    """
+
+    hilbert: HVector
 
 
 def _check_growth(h: HVector) -> int:
@@ -120,32 +178,37 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
     of size macaulay_bound(n, d-1) in degree d, so each level is the final
-    segment of size h_d.  Levels are sliced from the longest final segment
-    asked so far for their (r, d), held in _held_segments, which no other
-    function reads or writes.  A shorter one grows from its smallest end
-    (x_r^d when none is held) by _ascending_words resumed from its top, at
-    O(r + d) a monomial, and is held in its place, so no other monomial of
-    the degree is made: time and memory are O(sum of h_d * r).  A level as
-    long as its held segment is that tuple itself.  Raises for the first
-    degree that breaks Macaulay growth, before it builds any level.
-    per_degree is a _LexLevels, so socle_vector answers from its sizes.
+    segment of size h_d.  Each level is the tail of the longest final
+    segment asked so far for its (r, d), held in _held_segments, which no
+    other function reads or writes.  A shorter one grows from its smallest
+    end (x_r^d when none is held) by _ascending_words resumed from its top,
+    at O(r + d) a monomial, and is held in its place, so no other monomial
+    of the degree is made.  A level as long as its held segment is that
+    tuple itself, and a shorter one a _SegmentTail, sliced on its first
+    read: once its segments are held, a realization costs O(e), and a level
+    O(h_d) when first read.  Raises for the first degree that breaks
+    Macaulay growth, before it builds any level.  per_degree is a
+    _LexLevels, so hilbert_function and socle_vector answer from its sizes.
     """
     r = _check_growth(h)
     held = _held_segments.get
     levels = []
     for d, size in enumerate(h.entries):
         segment = held((r, d), ())
-        if len(segment) < size:
+        held_size = len(segment)
+        if held_size < size:
             top = [v for v, c in enumerate(segment[0]) for _ in range(c)] if segment else None
             added = []
-            for word in islice(_ascending_words(r, d, top), size - len(segment)):
+            for word in islice(_ascending_words(r, d, top), size - held_size):
                 exponents = [0] * r
                 for v in word:
                     exponents[v] += 1
                 added.append(tuple(exponents))
             segment = _held_segments[r, d] = (*reversed(added), *segment)
-        levels.append(segment[-size:])
-    return tuple.__new__(SurvivorTable, (r, _LexLevels(levels)))  # past the NamedTuple's __new__
+        levels.append(segment if held_size <= size else _SegmentTail(segment, size))
+    levels = _LexLevels(levels)
+    levels.hilbert = h
+    return tuple.__new__(SurvivorTable, (r, levels))  # past the NamedTuple's __new__
 
 
 def lex_realization_names(h: HVector) -> list[list[str]]:
@@ -172,7 +235,10 @@ def lex_realization_names(h: HVector) -> list[list[str]]:
 
 
 def hilbert_function(table: SurvivorTable) -> HVector:
-    return HVector(tuple(map(len, table.per_degree)))
+    levels = table.per_degree
+    if isinstance(levels, _LexLevels):
+        return levels.hilbert
+    return HVector(tuple(map(len, levels)))
 
 
 class SocleVector(NamedTuple):
@@ -221,7 +287,8 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     smallest multiple of m, and a final segment holding any multiple of m
     holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
     Each survivor above that x_r divides is x_r * m for one survivor m, so
-    the count is h_d less the x_r-multiples among h_{d+1}: a function of h.
+    the count is h_d less the x_r-multiples among h_{d+1}: a function of h,
+    read from the container's hilbert in O(e), so no level is sliced.
 
     Any other table goes through the probe loop: each survivor probes a set
     of the next level upward, once per variable, and counts when all r
@@ -230,7 +297,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     """
     levels = table.per_degree
     if isinstance(levels, _LexLevels) and len(levels[0][0]) == table.num_variables:
-        return _lex_socle(tuple(map(len, levels)))
+        return _lex_socle(levels.hilbert.entries)
     variables = range(table.num_variables)
     entries = []
     for level, above in zip(levels, (*levels[1:], ())):

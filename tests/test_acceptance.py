@@ -314,3 +314,25 @@ def test_criterion_9_si_sequences_are_the_gorenstein_hvectors_of_their_resolutio
             assert all(classify_gorenstein(HVector(h)).verdict is Verdict.GORENSTEIN for h in si), e
             if e >= 8:  # the box holds degree sequences that break Diesel's condition from e = 8 on
                 assert naive_gorenstein_hvectors(e, diesel=False) > gorenstein, e
+
+
+def test_criterion_10_both_searches_agree_with_the_resolution_hvectors():
+    with criterion(10, "every symmetric codim-3 vector (e<=8, full cap) decomposes iff it is a "
+                       "Buchsbaum-Eisenbud-Diesel h-vector, and is refuted otherwise"):
+        decomposed = refuted = 0
+        for e in range(2, 9):
+            cap = binom(e // 2 + 2, 2)
+            gorenstein = naive_gorenstein_hvectors(e)
+            for v in mirrored_symmetric_vectors(e, 3, cap):
+                h = HVector(v)
+                if v in gorenstein:
+                    decomposition = find_pivot_decomposition(h, 1)
+                    assert decomposition is not None, v
+                    verify_decomposition_traces(h, decomposition)  # raises on any failure
+                    decomposed += 1
+                else:
+                    assert refute_non_si(h).survivors == (), v
+                    refuted += 1
+        # every resolution h-vector is symmetric with entries under the cap, so all 58 were met
+        assert decomposed == sum(len(naive_gorenstein_hvectors(e)) for e in range(2, 9)) == 58
+        assert decomposed + refuted == 3589

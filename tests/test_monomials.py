@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -43,6 +44,7 @@ from hvectors.monomials import (
     _ascending_words,
     _held_segments,
     _last_variable_multiples,
+    _SegmentTail,
 )
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
@@ -389,7 +391,7 @@ class TestClosedForm:
                     assert str(closed.value) == str(realized.value), spoiled
 
     def test_full_levels_are_the_cached_tuples(self, monkeypatch):
-        # a level as long as the segment held for its (r, d) is that tuple, not a copy
+        # a level as long as the segment held for its (r, d) is that tuple itself
         def forbidden_level(num_variables, degree):
             raise AssertionError(f"built every degree-{degree} monomial in {num_variables} variables")
 
@@ -398,11 +400,12 @@ class TestClosedForm:
         short = lex_segment_realization(HVector((1, 3, 6, 4)))
         assert all(level is _held_segments[3, d] for d, level in enumerate(short.per_degree))
         longer = lex_segment_realization(HVector((1, 3, 6, 10)))
-        assert longer.per_degree[3] is _held_segments[3, 3]
+        assert all(level is _held_segments[3, d] for d, level in enumerate(longer.per_degree))
+        # a shorter level reads as the held tuple's tail
         again = lex_segment_realization(HVector((1, 3, 6, 4)))
-        assert again.per_degree[3] is not _held_segments[3, 3]
+        assert all(again.per_degree[d] is _held_segments[3, d] for d in range(3))
+        assert again.per_degree[3] == _held_segments[3, 3][-4:] == short.per_degree[3]
         assert again.per_degree == short.per_degree
-        assert longer.per_degree[3][-4:] == short.per_degree[3]
 
 
 class TestAscendingWords:
@@ -462,6 +465,26 @@ class TestFinalSegments:
                 for d, level in enumerate(table.per_degree):
                     assert list(level) == exponent_vectors(r, d)[::-1], (r, e, d)
 
+    def test_a_table_made_before_its_segment_grows_reads_the_same_after(self):
+        # tables of every size up to half the degree are made while half is held, and read
+        # only once the whole degree is held in its place
+        for r in range(2, 7):
+            for d in range(2, 6):
+                whole = tuple(binom(r + k - 1, k) for k in range(d + 1))
+                half = max(1, whole[-1] // 2)
+                _held_segments.clear()
+                lex_segment_realization(HVector((*whole[:-1], half)))
+                tables = [lex_segment_realization(HVector((*whole[:-1], size)))
+                          for size in range(1, half + 1)]
+                assert all(isinstance(t.per_degree[d], _SegmentTail) for t in tables[:-1])
+                lex_segment_realization(HVector(whole))
+                assert len(_held_segments[r, d]) == whole[-1] > half
+                ascending = exponent_vectors(r, d)
+                for size, table in enumerate(tables, 1):
+                    assert table.per_degree[d] == tuple(reversed(ascending[:size])), (r, d, size)
+                    assert table == lex_segment_realization(HVector((*whole[:-1], size)))
+                    assert hilbert_function(table).entries == (*whole[:-1], size)
+
     def test_no_variables_and_forty_variables(self):
         _held_segments.clear()
         assert lex_segment_realization(HVector((1,))).per_degree == (((),),)
@@ -470,6 +493,104 @@ class TestFinalSegments:
         assert _held_segments[40, 1] == tuple(reversed(exponent_vectors(40, 1)))
         for d in (0, 2, 3, 4, 5, 6):
             assert _held_segments[40, d] == ((0,) * 39 + (d,),)
+
+
+def unread_tails():
+    """(fresh, expected) for every level shorter than its held whole degree, r = 2..6, d = 2..5.
+
+    fresh() realizes (1, r, ..., C(r+d-2, d-1), size) again and returns its
+    degree-d level, a _SegmentTail no one has read; expected is that level's
+    tuple, from the naive ascending enumeration.
+    """
+    for r in range(2, 7):
+        for d in range(2, 6):
+            whole = tuple(binom(r + k - 1, k) for k in range(d + 1))
+            lex_segment_realization(HVector(whole))  # hold the whole degree
+            ascending = exponent_vectors(r, d)
+            for size in range(1, whole[-1]):
+                h = HVector((*whole[:-1], size))
+                yield (lambda h=h, d=d: lex_segment_realization(h).per_degree[d]), \
+                    tuple(reversed(ascending[:size]))
+
+
+class TestSegmentTails:
+    """Each level shorter than its held segment, against the tuple it stands for."""
+
+    def test_len_reads_nothing_and_the_first_read_keeps_only_the_tuple(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        for fresh, expected in unread_tails():
+            level = fresh()
+            assert isinstance(level, _SegmentTail)
+            r, d = len(expected[0]), sum(expected[0])
+            assert len(level) == len(expected)
+            assert level._monomials is monomials._held_segments[r, d]
+            assert level[0] == expected[0]
+            assert level._monomials == expected
+
+    def test_compares_hashes_and_prints_as_its_tuple(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        for fresh, expected in unread_tails():
+            longer = (*expected, (0,) * len(expected[0]))
+            assert fresh() == expected and expected == fresh() and fresh() == fresh()
+            assert not fresh() != expected and not expected != fresh()
+            assert fresh() != longer and longer != fresh() and fresh() != list(expected)
+            assert not fresh() == longer and not longer == fresh()
+            assert fresh() != expected[1:] and expected[1:] != fresh()
+            assert hash(fresh()) == hash(expected)
+            assert repr(fresh()) == repr(expected)
+            assert {expected: 1}[fresh()] == 1 and fresh() in {expected}
+
+    def test_reads_as_its_tuple(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        for fresh, expected in unread_tails():
+            size = len(expected)
+            outside = monomials._held_segments[len(expected[0]), sum(expected[0])][-size - 1]
+            assert fresh()[-1] == expected[-1]
+            level = fresh()
+            assert [level[i] for i in range(-size, size)] == [expected[i] for i in range(-size, size)]
+            for index in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    level[index]
+            for part in (slice(None), slice(1, None), slice(None, None, -1), slice(None, None, 2),
+                         slice(-3, -1), slice(size, None)):
+                assert fresh()[part] == expected[part] and type(fresh()[part]) is tuple
+            assert list(fresh()) == list(expected) and tuple(fresh()) == expected
+            assert list(reversed(fresh())) == list(reversed(expected))
+            assert expected[0] in fresh() and expected[-1] in fresh()
+            assert outside not in fresh() and () not in fresh()
+            assert [level.index(m) for m in expected] == list(range(size))
+            assert fresh().index(expected[-1], size - 1) == size - 1
+            for args in ((outside,), (expected[0], 1)):
+                with pytest.raises(ValueError):
+                    fresh().index(*args)
+            assert [level.count(m) for m in expected] == [1] * size
+            assert fresh().count(outside) == 0
+
+    def test_pickles_and_deep_copies_as_its_tuple(self, monkeypatch):
+        monkeypatch.setattr(monomials, "_held_segments", {})
+        for fresh, expected in unread_tails():
+            for clone in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh())):
+                assert clone == expected and type(clone) is tuple
+
+
+def test_held_realizations_share_their_segments(monkeypatch):
+    # 500 realizations whose levels are all shorter than the segments held, kept with their
+    # Hilbert functions and socle vectors: copying each level's tail would take about 78 MB
+    monkeypatch.setattr(monomials, "_held_segments", {})
+    lex_segment_realization(HVector((1, 20, 205, 1412, 7484, 33434)))
+    tracemalloc.start()
+    try:
+        kept = []
+        for k in range(500):
+            h = HVector((1, 20, 205, 1412, 7484, 20000 + k))
+            table = lex_segment_realization(h)
+            kept.append((table, hilbert_function(table), socle_vector(table)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tops = [(hilbert[5], socle.entries[5]) for _, hilbert, socle in kept]
+    assert tops == [(20000 + k,) * 2 for k in range(500)]
+    assert peak < 5 * 2**20, peak
 
 
 class TestMaxGrowth:
