@@ -67,58 +67,70 @@ class SurvivorTable(NamedTuple):
     all survive may still be cut.  Functions that read a table rely only on
     per_degree[d] being a sequence of degree-d exponent tuples of length
     num_variables; they do not assume a level is ordered, free of repeats,
-    or part of an order ideal.  A level is a tuple, or in a lex realization
-    a _SegmentTail, which reads, compares, hashes and pickles as one.
+    or part of an order ideal.  per_degree is a tuple of tuples, or in a
+    lex realization a _LexLevels, which reads, compares, hashes and pickles
+    as one.
     """
 
     num_variables: int
-    per_degree: tuple[Sequence[Monomial], ...]
+    per_degree: Sequence[Sequence[Monomial]]
 
     @property
     def socle_degree(self) -> int:
         return len(self.per_degree) - 1
 
 
-class _SegmentTail:
-    """The last size monomials of a held segment longer than size: a level of a lex realization.
+class _LexLevels:
+    """The per_degree of a lex realization of hilbert in num_variables variables.
 
-    len() reads the size alone.  Any other read slices segment[-size:] the
-    first time and keeps only that tuple, so a level costs O(h_d) on its
-    first read and nothing before.  It equals, hashes, prints, iterates,
+    len() reads hilbert, and hilbert_function and socle_vector read only
+    num_variables and hilbert, so none of them builds a monomial.  Any other
+    read builds every level once, the reversed first h_d words of
+    _ascending_words as exponent tuples, at O(r + d) a monomial, and keeps
+    only that tuple of levels.  It equals, hashes, prints, iterates,
     indexes and slices as that tuple; pickled or deep-copied, it is that
-    tuple.  Until its first read it keeps the segment alive, even after a
-    longer one is held in its place.
+    tuple.
     """
 
-    __slots__ = ("_monomials", "_size")
+    __slots__ = ("num_variables", "hilbert", "_levels")
 
-    def __init__(self, segment: tuple[Monomial, ...], size: int) -> None:
-        self._monomials = segment
-        self._size = size
+    def __init__(self, num_variables: int, hilbert: HVector) -> None:
+        self.num_variables = num_variables
+        self.hilbert = hilbert
+        self._levels = None
 
-    def _tuple(self) -> tuple[Monomial, ...]:
-        monomials = self._monomials
-        if len(monomials) != self._size:
-            monomials = self._monomials = monomials[-self._size :]
-        return monomials
+    def _tuple(self) -> tuple[tuple[Monomial, ...], ...]:
+        if self._levels is None:
+            r = self.num_variables
+            levels = []
+            for d, size in enumerate(self.hilbert.entries):
+                level = []
+                for word in islice(_ascending_words(r, d), size):
+                    exponents = [0] * r
+                    for v in word:
+                        exponents[v] += 1
+                    level.append(tuple(exponents))
+                levels.append(tuple(reversed(level)))
+            self._levels = tuple(levels)
+        return self._levels
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.hilbert.entries)
 
-    def __iter__(self) -> Iterator[Monomial]:
+    def __iter__(self) -> Iterator[tuple[Monomial, ...]]:
         return iter(self._tuple())
 
-    def __reversed__(self) -> Iterator[Monomial]:
+    def __reversed__(self) -> Iterator[tuple[Monomial, ...]]:
         return reversed(self._tuple())
 
     def __getitem__(self, index):
         return self._tuple()[index]
 
-    def index(self, monomial, *bounds) -> int:
-        return self._tuple().index(monomial, *bounds)
+    def index(self, level, *bounds) -> int:
+        return self._tuple().index(level, *bounds)
 
-    def count(self, monomial) -> int:
-        return self._tuple().count(monomial)
+    def count(self, level) -> int:
+        return self._tuple().count(level)
 
     def __eq__(self, other) -> bool:
         return self._tuple() == other
@@ -133,15 +145,6 @@ class _SegmentTail:
         return tuple, (self._tuple(),)
 
 
-class _LexLevels(tuple):
-    """The per_degree of a lex realization; it acts as the plain tuple.
-
-    hilbert is the realized HVector, so its sizes are read with no len() per level.
-    """
-
-    hilbert: HVector
-
-
 def _check_growth(h: HVector) -> int:
     """h's codimension; raises NotAnOSequenceError at the first degree that exceeds its bound."""
     d = _growth_violation(h.entries)
@@ -150,26 +153,21 @@ def _check_growth(h: HVector) -> int:
     return h.codimension
 
 
-def _ascending_words(r: int, d: int, start: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+def _ascending_words(r: int, d: int) -> Iterator[tuple[int, ...]]:
     """Index words of degree-d monomials in r variables (r >= 1 or d = 0), up the term order.
 
     Words list variable indices in non-decreasing order and ascend as the
     monomials descend (see max_growth_bruteforce).  From x_r^d = (r-1, ...,
-    r-1), or just after start, up to x_1^d, each O(d) step lowers the last
-    index that can drop (above the one before it, or above 0 at the front)
-    and sets every later one to r-1, the largest suffix: none lies between.
+    r-1) up to x_1^d, each O(d) step lowers the last index that can drop
+    (above the one before it, or above 0 at the front) and sets every later
+    one to r-1, the largest suffix: none lies between.
     """
-    word = (r - 1,) * d if start is None else tuple(start)
-    if start is None:
-        yield word
+    word = (r - 1,) * d
+    yield word
     while d and word[-1] > 0:
         i = bisect_left(word, word[-1])
         word = word[:i] + (word[i] - 1,) + (r - 1,) * (d - 1 - i)
         yield word
-
-
-# (r, d) -> the longest degree-d final lex segment in r variables a lex realization asked for
-_held_segments: dict[tuple[int, int], tuple[Monomial, ...]] = {}
 
 
 def lex_segment_realization(h: HVector) -> SurvivorTable:
@@ -178,37 +176,14 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
     of size macaulay_bound(n, d-1) in degree d, so each level is the final
-    segment of size h_d.  Each level is the tail of the longest final
-    segment asked so far for its (r, d), held in _held_segments, which no
-    other function reads or writes.  A shorter one grows from its smallest
-    end (x_r^d when none is held) by _ascending_words resumed from its top,
-    at O(r + d) a monomial, and is held in its place, so no other monomial
-    of the degree is made.  A level as long as its held segment is that
-    tuple itself, and a shorter one a _SegmentTail, sliced on its first
-    read: once its segments are held, a realization costs O(e), and a level
-    O(h_d) when first read.  Raises for the first degree that breaks
-    Macaulay growth, before it builds any level.  per_degree is a
-    _LexLevels, so hilbert_function and socle_vector answer from its sizes.
+    segment of size h_d, which depends on r, d and h_d alone.  Raises for
+    the first degree that breaks Macaulay growth, then returns in O(1):
+    per_degree is a _LexLevels, which builds its levels on their first
+    read, and hilbert_function and socle_vector answer from h without one.
+    Nothing outlives the table.
     """
     r = _check_growth(h)
-    held = _held_segments.get
-    levels = []
-    for d, size in enumerate(h.entries):
-        segment = held((r, d), ())
-        held_size = len(segment)
-        if held_size < size:
-            top = [v for v, c in enumerate(segment[0]) for _ in range(c)] if segment else None
-            added = []
-            for word in islice(_ascending_words(r, d, top), size - held_size):
-                exponents = [0] * r
-                for v in word:
-                    exponents[v] += 1
-                added.append(tuple(exponents))
-            segment = _held_segments[r, d] = (*reversed(added), *segment)
-        levels.append(segment if held_size <= size else _SegmentTail(segment, size))
-    levels = _LexLevels(levels)
-    levels.hilbert = h
-    return tuple.__new__(SurvivorTable, (r, levels))  # past the NamedTuple's __new__
+    return tuple.__new__(SurvivorTable, (r, _LexLevels(r, h)))  # past the NamedTuple's __new__
 
 
 def lex_realization_names(h: HVector) -> list[list[str]]:
@@ -281,14 +256,14 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
     The top degree has nothing above it, so all of its survivors count.
-    A lex realization is known by its _LexLevels per_degree, whose degree-0
-    monomial must have num_variables slots (an O(1) check that catches the
+    A lex realization is known by its _LexLevels per_degree, whose own
+    num_variables must be the table's (an O(1) check that catches the
     container put in a table with another r).  There x_r * m is the
     smallest multiple of m, and a final segment holding any multiple of m
     holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
     Each survivor above that x_r divides is x_r * m for one survivor m, so
     the count is h_d less the x_r-multiples among h_{d+1}: a function of h,
-    read from the container's hilbert in O(e), so no level is sliced.
+    read from the container's hilbert in O(e), so no level is built.
 
     Any other table goes through the probe loop: each survivor probes a set
     of the next level upward, once per variable, and counts when all r
@@ -296,7 +271,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     whose monomials have slots past the r-th.
     """
     levels = table.per_degree
-    if isinstance(levels, _LexLevels) and len(levels[0][0]) == table.num_variables:
+    if isinstance(levels, _LexLevels) and levels.num_variables == table.num_variables:
         return _lex_socle(levels.hilbert.entries)
     variables = range(table.num_variables)
     entries = []

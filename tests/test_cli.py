@@ -193,27 +193,19 @@ class TestRealizeAndSocle:
         assert (code, out) == (0, "0,1100\n")
 
     def test_socle_builds_no_level(self, capsys, monkeypatch):
-        monomials._held_segments.clear()
         monkeypatch.setattr(monomials, "monomials_of_degree", forbidden_level)
+        monkeypatch.setattr(monomials, "_ascending_words", forbidden_level)
         assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
-        assert not monomials._held_segments
 
-    def test_realize_text_matches_the_table_and_holds_nothing(self, monkeypatch):
-        # O-sequences in 2, 3 or 5 variables in a seeded random order, so that the held
-        # segments the table reads grow, or are sliced, between calls; halfway they are
-        # dropped and rebuilt, and realize neither reads nor fills them
-        monkeypatch.setattr(monomials, "_held_segments", {})
+    def test_realize_text_matches_the_table_and_holds_nothing(self):
+        # O-sequences in 2, 3 or 5 variables in a seeded random order
         rng = random.Random(23)
-        for k in range(300):
-            if k == 150:
-                monomials._held_segments.clear()
+        for _ in range(300):
             r = rng.choice((2, 3, 5))
             h = [1, r]
             for d in range(1, rng.randint(1, 6)):
                 h.append(rng.randint(1, min(macaulay_bound(h[-1], d), 40)))
-            held = dict(monomials._held_segments)
             answer = outcome(["realize", ",".join(map(str, h))])
-            assert monomials._held_segments == held, h
             expected = "".join(
                 f"degree {d}: {', '.join(map(render_monomial, level))}\n"
                 for d, level in enumerate(lex_segment_realization(HVector(h)).per_degree)
@@ -299,7 +291,7 @@ class TestDecomposeAndRefute:
         assert err == "error: refutation needs more than 2 candidates\n"
 
     def test_memory_error_exits_five(self, capsys, monkeypatch):
-        def exhausted(r, d, start=None):
+        def exhausted(r, d):
             raise MemoryError
 
         monkeypatch.setattr(monomials, "_ascending_words", exhausted)

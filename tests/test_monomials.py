@@ -40,12 +40,7 @@ from hvectors import (
     socle_vector,
 )
 from hvectors import monomials
-from hvectors.monomials import (
-    _ascending_words,
-    _held_segments,
-    _last_variable_multiples,
-    _SegmentTail,
-)
+from hvectors.monomials import _ascending_words, _last_variable_multiples, _LexLevels
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
 NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
@@ -69,14 +64,12 @@ class TestMonomialBasics:
     @pytest.mark.parametrize("r, d, level", [
         (2, -1, None), (0, -1, None), (-1, 2, None), (-1, 0, None), (0, 0, ((),)), (0, 3, ()),
     ])
-    def test_negative_arguments_are_refused_before_anything_is_held(self, monkeypatch, r, d, level):
-        monkeypatch.setattr(monomials, "_held_segments", {})
+    def test_negative_arguments_are_refused_before_anything_is_held(self, r, d, level):
         if level is not None:
             assert monomials_of_degree(r, d) == level
             return
         with pytest.raises(ValueError, match=rf"must be >= 0, got {r}, {d}$"):
             monomials_of_degree(r, d)
-        assert monomials._held_segments == {}
 
     def test_divisors(self):
         assert divisors((2, 0, 1)) == ((1, 0, 1), (2, 0, 0))
@@ -391,56 +384,45 @@ class TestClosedForm:
                     assert str(closed.value) == str(realized.value), spoiled
 
     def test_full_levels_are_the_cached_tuples(self, monkeypatch):
-        # a level as long as the segment held for its (r, d) is that tuple itself
+        # each level is a plain tuple, built without listing its whole degree and kept by its table
         def forbidden_level(num_variables, degree):
             raise AssertionError(f"built every degree-{degree} monomial in {num_variables} variables")
 
         monkeypatch.setattr(monomials, "monomials_of_degree", forbidden_level)
-        _held_segments.clear()
         short = lex_segment_realization(HVector((1, 3, 6, 4)))
-        assert all(level is _held_segments[3, d] for d, level in enumerate(short.per_degree))
         longer = lex_segment_realization(HVector((1, 3, 6, 10)))
-        assert all(level is _held_segments[3, d] for d, level in enumerate(longer.per_degree))
-        # a shorter level reads as the held tuple's tail
-        again = lex_segment_realization(HVector((1, 3, 6, 4)))
-        assert all(again.per_degree[d] is _held_segments[3, d] for d in range(3))
-        assert again.per_degree[3] == _held_segments[3, 3][-4:] == short.per_degree[3]
-        assert again.per_degree == short.per_degree
+        for table in (short, longer):
+            levels = table.per_degree
+            for d, size in enumerate(hilbert_function(table).entries):
+                assert type(levels[d]) is tuple and levels[d] is levels[d]
+                assert levels[d] == tuple(reversed(exponent_vectors(3, d)[:size])), (d, size)
+        assert longer.per_degree[3][-4:] == short.per_degree[3]
+        assert lex_segment_realization(HVector((1, 3, 6, 4))).per_degree == short.per_degree
 
 
 class TestAscendingWords:
     """_ascending_words, read as exponent vectors, against the naive ascending enumeration."""
 
-    def test_every_word_from_the_bottom_and_after_any_start(self):
+    def test_every_word_from_the_bottom(self):
         for r, d in [(0, 0), *product(range(1, 7), range(7))]:
-            ascending = exponent_vectors(r, d)
-            words = list(_ascending_words(r, d))
-            assert [tuple(map(word.count, range(r))) for word in words] == ascending, (r, d)
-            for k, start in enumerate(words):
-                assert list(_ascending_words(r, d, start)) == words[k + 1 :], (r, d, start)
+            words = _ascending_words(r, d)
+            assert [tuple(map(word.count, range(r))) for word in words] == exponent_vectors(r, d), (r, d)
 
 
 class TestFinalSegments:
-    """The segments lex_segment_realization holds, against the naive ascending enumeration."""
+    """The levels lex_segment_realization builds, against the naive ascending enumeration."""
 
     @staticmethod
     def check_in_order(r, d, sizes):
         # each request realizes (1, r, C(r+1, 2), ..., C(r+d-2, d-1), size), so d >= 2, and
         # every level below d is its whole degree
         whole = tuple(binom(r + k - 1, k) for k in range(d))
+        below = tuple(tuple(reversed(exponent_vectors(r, k))) for k in range(d))
         ascending = exponent_vectors(r, d)
-        _held_segments.clear()
-        held = ()
         for size in sizes:
-            before = held
-            lex_segment_realization(HVector((*whole, size)))
-            held = _held_segments[r, d]
-            assert len(held) == max(size, len(before)), (r, d, size)
-            assert held[-size:] == tuple(reversed(ascending[:size])), (r, d, size)
-            # a longer request extends the held tuple: its small end holds the old monomials themselves
-            assert all(new is old for new, old in zip(held[len(held) - len(before) :], before))
-        for k in range(d):
-            assert _held_segments[r, k] == tuple(reversed(exponent_vectors(r, k))), (r, d, k)
+            levels = lex_segment_realization(HVector((*whole, size))).per_degree
+            assert levels[d] == tuple(reversed(ascending[:size])), (r, d, size)
+            assert levels[:d] == below, (r, d, size)
 
     def test_every_size_ascending_and_descending(self):
         for r in range(1, 7):
@@ -454,83 +436,78 @@ class TestFinalSegments:
         r, d = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6))
         self.check_in_order(r, d, data.draw(st.permutations(range(1, binom(r + d - 1, d) + 1))))
 
-    def test_maximal_growth_vectors_from_nothing_held(self, monkeypatch):
+    def test_maximal_growth_vectors_from_nothing_held(self):
         # every level of (1, r, C(r+1, 2), ..., C(r+e-1, e)) is the whole degree, built from x_r^d;
         # e starts at 1, since a lone 1 names no variables
         for r in range(1, 7):
             for e in range(1, 7):
-                monkeypatch.setattr(monomials, "_held_segments", {})
                 h = HVector(tuple(binom(r + d - 1, d) for d in range(e + 1)))
                 table = lex_segment_realization(h)
                 for d, level in enumerate(table.per_degree):
                     assert list(level) == exponent_vectors(r, d)[::-1], (r, e, d)
 
-    def test_a_table_made_before_its_segment_grows_reads_the_same_after(self):
-        # tables of every size up to half the degree are made while half is held, and read
-        # only once the whole degree is held in its place
-        for r in range(2, 7):
-            for d in range(2, 6):
-                whole = tuple(binom(r + k - 1, k) for k in range(d + 1))
-                half = max(1, whole[-1] // 2)
-                _held_segments.clear()
-                lex_segment_realization(HVector((*whole[:-1], half)))
-                tables = [lex_segment_realization(HVector((*whole[:-1], size)))
-                          for size in range(1, half + 1)]
-                assert all(isinstance(t.per_degree[d], _SegmentTail) for t in tables[:-1])
-                lex_segment_realization(HVector(whole))
-                assert len(_held_segments[r, d]) == whole[-1] > half
-                ascending = exponent_vectors(r, d)
-                for size, table in enumerate(tables, 1):
-                    assert table.per_degree[d] == tuple(reversed(ascending[:size])), (r, d, size)
-                    assert table == lex_segment_realization(HVector((*whole[:-1], size)))
-                    assert hilbert_function(table).entries == (*whole[:-1], size)
-
     def test_no_variables_and_forty_variables(self):
-        _held_segments.clear()
         assert lex_segment_realization(HVector((1,))).per_degree == (((),),)
-        assert _held_segments == {(0, 0): ((),)}
-        lex_segment_realization(HVector((1, 40, 1, 1, 1, 1, 1)))
-        assert _held_segments[40, 1] == tuple(reversed(exponent_vectors(40, 1)))
+        levels = lex_segment_realization(HVector((1, 40, 1, 1, 1, 1, 1))).per_degree
+        assert levels[1] == tuple(reversed(exponent_vectors(40, 1)))
         for d in (0, 2, 3, 4, 5, 6):
-            assert _held_segments[40, d] == ((0,) * 39 + (d,),)
+            assert levels[d] == ((0,) * 39 + (d,),)
 
 
-def unread_tails():
-    """(fresh, expected) for every level shorter than its held whole degree, r = 2..6, d = 2..5.
+def fresh_realizations():
+    """(fresh, expected) for (1, r, ..., C(r+d-2, d-1), size) at r = 2..5, d = 2..4, size < C(r+d-1, d).
 
-    fresh() realizes (1, r, ..., C(r+d-2, d-1), size) again and returns its
-    degree-d level, a _SegmentTail no one has read; expected is that level's
-    tuple, from the naive ascending enumeration.
+    fresh() realizes the vector again and returns its per_degree, a
+    _LexLevels no one has read; expected is the tuple of levels it stands
+    for, from the naive ascending enumeration.
     """
-    for r in range(2, 7):
-        for d in range(2, 6):
-            whole = tuple(binom(r + k - 1, k) for k in range(d + 1))
-            lex_segment_realization(HVector(whole))  # hold the whole degree
-            ascending = exponent_vectors(r, d)
-            for size in range(1, whole[-1]):
-                h = HVector((*whole[:-1], size))
-                yield (lambda h=h, d=d: lex_segment_realization(h).per_degree[d]), \
-                    tuple(reversed(ascending[:size]))
+    for r in range(2, 6):
+        for d in range(2, 5):
+            whole = tuple(tuple(reversed(exponent_vectors(r, k))) for k in range(d + 1))
+            for size in range(1, len(whole[-1])):
+                h = HVector((*map(len, whole[:-1]), size))
+                yield (lambda h=h: lex_segment_realization(h).per_degree), (*whole[:-1], whole[-1][-size:])
 
 
 class TestSegmentTails:
-    """Each level shorter than its held segment, against the tuple it stands for."""
+    """The per_degree of a lex realization, each level its degree's final segment, against its tuple."""
 
-    def test_len_reads_nothing_and_the_first_read_keeps_only_the_tuple(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        for fresh, expected in unread_tails():
-            level = fresh()
-            assert isinstance(level, _SegmentTail)
-            r, d = len(expected[0]), sum(expected[0])
-            assert len(level) == len(expected)
-            assert level._monomials is monomials._held_segments[r, d]
-            assert level[0] == expected[0]
-            assert level._monomials == expected
+    def test_len_reads_nothing_and_the_first_read_keeps_only_the_tuple(self):
+        for fresh, expected in fresh_realizations():
+            levels = fresh()
+            assert isinstance(levels, _LexLevels)
+            assert len(levels) == len(expected)
+            assert levels._levels is None
+            assert levels[0] == expected[0]
+            assert levels._levels == expected and type(levels._levels) is tuple
+            assert all(type(level) is tuple for level in levels._levels)
 
-    def test_compares_hashes_and_prints_as_its_tuple(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        for fresh, expected in unread_tails():
-            longer = (*expected, (0,) * len(expected[0]))
+    def test_oracles_build_nothing_and_the_first_read_builds_once(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError(f"built a level: {args}")
+
+        h = HVector((1, 4, 8, 12, 5))
+        monkeypatch.setattr(monomials, "_ascending_words", forbidden)
+        monkeypatch.setattr(monomials, "monomials_of_degree", forbidden)
+        table = lex_segment_realization(h)
+        assert len(table.per_degree) == table.socle_degree + 1 == 5
+        assert hilbert_function(table) == h
+        assert socle_vector(table) == lex_socle_vector(h)
+        monkeypatch.undo()
+        calls = []
+
+        def counted(r, d):
+            calls.append((r, d))
+            return _ascending_words(r, d)
+
+        monkeypatch.setattr(monomials, "_ascending_words", counted)
+        assert table.per_degree[3] == tuple(reversed(exponent_vectors(4, 3)[:12]))
+        assert calls == [(4, d) for d in range(5)]
+        assert table.per_degree == plain(table).per_degree and calls == [(4, d) for d in range(5)]
+
+    def test_compares_hashes_and_prints_as_its_tuple(self):
+        for fresh, expected in fresh_realizations():
+            longer = (*expected, expected[-1])
             assert fresh() == expected and expected == fresh() and fresh() == fresh()
             assert not fresh() != expected and not expected != fresh()
             assert fresh() != longer and longer != fresh() and fresh() != list(expected)
@@ -540,17 +517,16 @@ class TestSegmentTails:
             assert repr(fresh()) == repr(expected)
             assert {expected: 1}[fresh()] == 1 and fresh() in {expected}
 
-    def test_reads_as_its_tuple(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        for fresh, expected in unread_tails():
+    def test_reads_as_its_tuple(self):
+        for fresh, expected in fresh_realizations():
             size = len(expected)
-            outside = monomials._held_segments[len(expected[0]), sum(expected[0])][-size - 1]
+            outside = expected[-1][1:]  # a level with its largest monomial dropped
             assert fresh()[-1] == expected[-1]
-            level = fresh()
-            assert [level[i] for i in range(-size, size)] == [expected[i] for i in range(-size, size)]
+            levels = fresh()
+            assert [levels[i] for i in range(-size, size)] == [expected[i] for i in range(-size, size)]
             for index in (size, -size - 1):
                 with pytest.raises(IndexError):
-                    level[index]
+                    levels[index]
             for part in (slice(None), slice(1, None), slice(None, None, -1), slice(None, None, 2),
                          slice(-3, -1), slice(size, None)):
                 assert fresh()[part] == expected[part] and type(fresh()[part]) is tuple
@@ -558,26 +534,24 @@ class TestSegmentTails:
             assert list(reversed(fresh())) == list(reversed(expected))
             assert expected[0] in fresh() and expected[-1] in fresh()
             assert outside not in fresh() and () not in fresh()
-            assert [level.index(m) for m in expected] == list(range(size))
+            assert [levels.index(level) for level in expected] == list(range(size))
             assert fresh().index(expected[-1], size - 1) == size - 1
             for args in ((outside,), (expected[0], 1)):
                 with pytest.raises(ValueError):
                     fresh().index(*args)
-            assert [level.count(m) for m in expected] == [1] * size
+            assert [levels.count(level) for level in expected] == [1] * size
             assert fresh().count(outside) == 0
 
-    def test_pickles_and_deep_copies_as_its_tuple(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        for fresh, expected in unread_tails():
+    def test_pickles_and_deep_copies_as_its_tuple(self):
+        for fresh, expected in fresh_realizations():
             for clone in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh())):
                 assert clone == expected and type(clone) is tuple
+                assert all(type(level) is tuple for level in clone)
 
 
-def test_held_realizations_share_their_segments(monkeypatch):
-    # 500 realizations whose levels are all shorter than the segments held, kept with their
-    # Hilbert functions and socle vectors: copying each level's tail would take about 78 MB
-    monkeypatch.setattr(monomials, "_held_segments", {})
-    lex_segment_realization(HVector((1, 20, 205, 1412, 7484, 33434)))
+def test_held_realizations_hold_no_levels():
+    # 500 realizations kept with their Hilbert functions and socle vectors: building each
+    # one's levels would take about 5.8 MB, or 2.9 GB for all 500
     tracemalloc.start()
     try:
         kept = []
@@ -591,6 +565,24 @@ def test_held_realizations_share_their_segments(monkeypatch):
     tops = [(hilbert[5], socle.entries[5]) for _, hilbert, socle in kept]
     assert tops == [(20000 + k,) * 2 for k in range(500)]
     assert peak < 5 * 2**20, peak
+
+
+def test_the_process_holds_nothing_once_its_tables_are_dropped():
+    # each table's levels, once read, take 0.02 MB (r = 10) to 2.3 MB (r = 40), and nothing
+    # keeps them past the table
+    tracemalloc.start()
+    try:
+        for r in range(10, 41):
+            h = HVector((1, r, binom(r + 1, 2), binom(r + 2, 3) // 2))
+            table = lex_segment_realization(h)
+            assert hilbert_function(table) == h
+            assert socle_vector(table) == lex_socle_vector(h)
+            assert table.per_degree[3][-1] == (0,) * (r - 1) + (3,)
+            del table
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 2**20, current
 
 
 class TestMaxGrowth:
@@ -694,14 +686,6 @@ class TestMaxGrowth:
         with pytest.raises(InfeasibleSearchError, match="^search for n=1, i=3, r=6 exceeded 125 nodes$"):
             max_growth_bruteforce(1, 3, 6)
 
-    def test_search_leaves_the_held_segments_as_it_found_them(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        lex_segment_realization(HVector((1, 3, 4, 2)))
-        before = dict(monomials._held_segments)
-        for n, i, r in ((1, 1, 1), (3, 1, 3), (4, 2, 4), (6, 3, 6), (2, 2, 7)):
-            max_growth_bruteforce(n, i, r)
-        assert monomials._held_segments == before
-
     def test_forty_variables(self):
         assert max_growth_bruteforce(1, 3, 40) == 1
 
@@ -749,16 +733,6 @@ class TestCompleteIntersections:
                     for d in range(sum(exponents) - count + 1)
                 )
                 assert complete_intersection_table(*exponents) == SurvivorTable(count, levels), exponents
-
-    def test_listings_leave_the_held_segments_as_they_found_them(self, monkeypatch):
-        monkeypatch.setattr(monomials, "_held_segments", {})
-        lex_segment_realization(HVector((1, 3, 4, 2)))
-        before = dict(monomials._held_segments)
-        for r, d in ((3, 2), (3, 5), (4, 3), (0, 0), (1, 4)):
-            monomials_of_degree(r, d)
-        for exponents in ((), (2, 2, 2), (3, 4, 2), (2, 2, 2, 2, 2)):
-            complete_intersection_table(*exponents)
-        assert monomials._held_segments == before
 
     def test_twelve_variables(self):
         table = complete_intersection_table(*[2] * 12)
