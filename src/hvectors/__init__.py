@@ -31,8 +31,8 @@ _PUBLIC = {
     "monomials": (
         "Monomial", "SocleVector", "SurvivorTable", "complete_intersection_hvector",
         "complete_intersection_table", "divisors", "hilbert_function",
-        "lex_segment_realization", "lex_socle_vector", "max_growth_bruteforce",
-        "monomials_of_degree", "render_monomial", "socle_vector",
+        "lex_segment_realization", "max_growth_bruteforce", "monomials_of_degree",
+        "render_monomial", "socle_vector",
     ),
     "sequences": (
         "ClassificationReport", "HVector", "Reason", "ReasonKind", "SequenceFilter", "Verdict",

@@ -30,7 +30,10 @@ the package, which imports each of them on first use, so that a command
 loads only the modules it runs; after that first use the lookup is a
 dictionary read, where an import statement in the handler would cost a
 few microseconds on every call.  Each handler writes its answer with one
-`print`; only `enumerate` streams, one line per h-vector.
+`print`; only `enumerate` streams, one line per h-vector.  `realize` and
+`socle` both start from `lex_segment_realization(h)`, the one growth check,
+so an h they cannot realize fails both with the same line; neither builds a
+level of monomials.
 
 A `--json` certificate is its result type written out by `_plain`: each NamedTuple an
 object of its fields in field order, each Enum its value.  Only `decompose` adds to it
@@ -57,6 +60,7 @@ from .sequences import (
     Verdict,
     _growth_violation,
     _normal_hvector,
+    _render_entries,
     classify_gorenstein,
     differentiability_violation,
     first_half,
@@ -129,10 +133,6 @@ def _parse_hvector(text: str) -> HVector:
             raise ValueError(f"empty entry in {text!r}")
         values.append(_parse_integer(token))
     return HVector(values)
-
-
-def _render_entries(entries: Sequence[int]) -> str:
-    return ",".join(map(str, entries))
 
 
 def _verdict(violation: int | None) -> str:
@@ -229,7 +229,8 @@ def _cmd_realize(h: HVector, args) -> int:
 
 
 def _cmd_socle(h: HVector, args) -> int:
-    print(str(hvectors.monomials.lex_socle_vector(h)))
+    monomials = hvectors.monomials
+    print(str(monomials.socle_vector(monomials.lex_segment_realization(h))))
     return EXIT_OK
 
 

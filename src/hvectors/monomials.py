@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .binomials import expand, macaulay_bound
 from .errors import InfeasibleSearchError, NotAnOSequenceError
-from .sequences import HVector, _growth_violation
+from .sequences import HVector, _growth_violation, _render_entries
 
 Monomial = tuple[int, ...]
 
@@ -69,7 +69,7 @@ class SurvivorTable(NamedTuple):
     num_variables; they do not assume a level is ordered, free of repeats,
     or part of an order ideal.  per_degree is a tuple of tuples, or in a
     lex realization a _LexLevels, which reads, compares, hashes and pickles
-    as one.
+    as one; lex_segment_realization alone makes a _LexLevels.
     """
 
     num_variables: int
@@ -145,14 +145,6 @@ class _LexLevels:
         return tuple, (self._tuple(),)
 
 
-def _check_growth(h: HVector) -> int:
-    """h's codimension; raises NotAnOSequenceError at the first degree that exceeds its bound."""
-    d = _growth_violation(h.entries)
-    if d is not None:
-        raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
-    return h.codimension
-
-
 def _ascending_words(r: int, d: int) -> Iterator[tuple[int, ...]]:
     """Index words of degree-d monomials in r variables (r >= 1 or d = 0), up the term order.
 
@@ -176,27 +168,33 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
     of size macaulay_bound(n, d-1) in degree d, so each level is the final
-    segment of size h_d, which depends on r, d and h_d alone.  Raises for
-    the first degree that breaks Macaulay growth, then returns in O(1):
+    segment of size h_d, which depends on r, d and h_d alone.  Raises
+    NotAnOSequenceError for the first degree that breaks Macaulay growth;
+    this is the one place that check is made.  Then returns in O(1):
     per_degree is a _LexLevels, which builds its levels on their first
-    read, and hilbert_function and socle_vector answer from h without one.
-    Nothing outlives the table.
+    read, and hilbert_function, socle_vector and lex_realization_names
+    answer from h without one.  Nothing outlives the table.
     """
-    r = _check_growth(h)
+    d = _growth_violation(h.entries)
+    if d is not None:
+        raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
+    r = h.codimension
     return tuple.__new__(SurvivorTable, (r, _LexLevels(r, h)))  # past the NamedTuple's __new__
 
 
 def lex_realization_names(h: HVector) -> list[list[str]]:
     """Per degree, render_monomial of each monomial of lex_segment_realization(h), in order.
 
-    Each level is rendered from its _ascending_words and reversed, holding
-    nothing: time and memory are O(sum of h_d * d), the size of the text.
+    Reads only the realization's num_variables and sizes, so no level is
+    built: each is rendered from its _ascending_words and reversed, holding
+    nothing, in time and memory O(sum of h_d * d), the size of the text.
     Raises as lex_segment_realization does.
     """
-    r = _check_growth(h)
+    realization = lex_segment_realization(h).per_degree
+    r = realization.num_variables
     factors = [f"*x{v + 1}" for v in range(r)]
     levels = []
-    for d, size in enumerate(h.entries):
+    for d, size in enumerate(realization.hilbert.entries):
         names = []
         for word in islice(_ascending_words(r, d), size):
             name, k = "", 0
@@ -226,7 +224,7 @@ class SocleVector(NamedTuple):
         return self.entries[-1:] == (1,) and all(x == 0 for x in self.entries[:-1])
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.entries)
+        return _render_entries(self.entries)
 
 
 @lru_cache(maxsize=None)
@@ -240,18 +238,6 @@ def _last_variable_multiples(size: int, degree: int) -> int:
     return sum(comb(top - 1, bottom - 1) for top, bottom in expand(size, degree).terms)
 
 
-def _lex_socle(sizes: Sequence[int]) -> SocleVector:
-    """The socle vector of the lex realization whose levels have these sizes."""
-    above = map(_last_variable_multiples, sizes[1:], range(1, len(sizes)))
-    return tuple.__new__(SocleVector, ((*map(sub, sizes, above), sizes[-1]),))
-
-
-def lex_socle_vector(h: HVector) -> SocleVector:
-    """socle_vector(lex_segment_realization(h)), or its error, with no level built."""
-    _check_growth(h)
-    return _lex_socle(h.entries)
-
-
 def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
@@ -263,7 +249,8 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
     Each survivor above that x_r divides is x_r * m for one survivor m, so
     the count is h_d less the x_r-multiples among h_{d+1}: a function of h,
-    read from the container's hilbert in O(e), so no level is built.
+    computed here from the container's hilbert in O(e), so no level is
+    built.  hvec socle prints this vector of lex_segment_realization(h).
 
     Any other table goes through the probe loop: each survivor probes a set
     of the next level upward, once per variable, and counts when all r
@@ -272,7 +259,9 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     """
     levels = table.per_degree
     if isinstance(levels, _LexLevels) and levels.num_variables == table.num_variables:
-        return _lex_socle(levels.hilbert.entries)
+        sizes = levels.hilbert.entries
+        multiples = map(_last_variable_multiples, sizes[1:], range(1, len(sizes)))
+        return tuple.__new__(SocleVector, ((*map(sub, sizes, multiples), sizes[-1]),))
     variables = range(table.num_variables)
     entries = []
     for level, above in zip(levels, (*levels[1:], ())):

@@ -17,6 +17,11 @@ def strip_trailing_zeros(seq: Sequence[int]) -> tuple[int, ...]:
     return entries[:end]
 
 
+def _render_entries(entries: Sequence[int]) -> str:
+    """The integers joined by bare commas, as an h-vector is written: str(HVector) and hvec's lists."""
+    return ",".join(map(str, entries))
+
+
 class HVector:
     """Graded dimension vector (h_0, ..., h_e) with h_0 = 1 and h_e > 0.
 
@@ -87,7 +92,7 @@ class HVector:
         return self.entries[index]
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        return _render_entries(self.entries)
 
 
 _INT_ONLY = {int}

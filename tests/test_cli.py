@@ -177,9 +177,28 @@ class TestRealizeAndSocle:
         assert "NotAnOSequence(2)" in err
 
     def test_socle_failure_matches_realize(self, capsys):
-        code, _, err = run(capsys, "socle", "1,2,4")
-        assert code == 1
-        assert "NotAnOSequence(2)" in err
+        line = "error: NotAnOSequence(2): needs 4 monomials of degree 2, only 3 available\n"
+        for command in ("socle", "realize"):
+            assert run(capsys, command, "1,2,4") == (1, "", line)
+        # O-sequences as the single-vector workload draws them: r = 1..10, e = 1..6, entries <= 30
+        rng = random.Random(41)
+        for r, e in itertools.product(range(1, 11), range(1, 7)):
+            for _ in range(3):
+                h = [1, r]
+                for d in range(1, e):
+                    h.append(rng.randint(1, min(macaulay_bound(h[d], d), 30)))
+                realization = lex_segment_realization(HVector(h))
+                probed = SurvivorTable(r, tuple(map(tuple, realization.per_degree)))
+                text = ",".join(map(str, h))
+                assert run(capsys, "socle", text) == (0, f"{socle_vector(probed)}\n", ""), h
+                if e == 1:
+                    continue
+                # one past the growth bound at the top degree
+                h[e] = macaulay_bound(h[e - 1], e - 1) + 1
+                text = ",".join(map(str, h))
+                failed = run(capsys, "socle", text)
+                assert failed[:2] == (1, "") and f"NotAnOSequence({e}): " in failed[2], h
+                assert run(capsys, "realize", text) == failed, h
 
     def test_realize_in_many_variables(self, capsys):
         code, out, _ = run(capsys, "realize", "1,1100")

@@ -138,8 +138,8 @@ PUBLIC_NAMES = """
     complete_intersection_hvector complete_intersection_table count_by_degree
     differentiability_violation divisors enumerate_hvectors expand find_pivot_decomposition
     first_difference first_half hilbert_function is_differentiable is_o_sequence is_si_sequence
-    is_symmetric is_unimodal lex_segment_realization lex_socle_vector macaulay_bound
-    max_growth_bruteforce monomials_of_degree o_sequence_violation refute_non_si render_monomial
+    is_symmetric is_unimodal lex_segment_realization macaulay_bound max_growth_bruteforce
+    monomials_of_degree o_sequence_violation refute_non_si render_monomial
     si_violations socle_vector symmetry_violation unimodality_violation verify_decomposition_traces
 """.split()
 
