@@ -8,7 +8,9 @@ Three sweeps, any failure exits 4:
 
 Each sweep prints one JSON record on its own line: sweep, max_degree, cap,
 checked, failures and seconds; each failure's message goes to stderr.
-A reader that closes early ends the run quietly with exit 141, as in hvec.
+A reader that closes early ends the run quietly with exit 141, as in hvec,
+and each flag takes an integer as hvec's do: ASCII digits, with an
+optional sign.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from hvectors import (
     refute_non_si,
     verify_decomposition_traces,
 )
-from hvectors.cli import EXIT_BROKEN_PIPE, EXIT_USAGE, _detach_stdout
+from hvectors.cli import EXIT_BROKEN_PIPE, EXIT_USAGE, _detach_stdout, _integer_flag
 
 
 def box(max_degree: int, cap: int, sequence_filter: SequenceFilter) -> Iterator[HVector]:
@@ -65,10 +67,10 @@ def refutation_failure(h: HVector) -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-degree", type=int, default=8)
-    parser.add_argument("--cap", type=int, default=25)
-    parser.add_argument("--grid-n", type=int, default=6)
-    parser.add_argument("--grid-i", type=int, default=3)
+    parser.add_argument("--max-degree", type=_integer_flag, default=8)
+    parser.add_argument("--cap", type=_integer_flag, default=25)
+    parser.add_argument("--grid-n", type=_integer_flag, default=6)
+    parser.add_argument("--grid-i", type=_integer_flag, default=3)
     args = parser.parse_args()
     try:  # every sweep's box is codimension 3
         EnumerationSpec(2, 3, args.cap)

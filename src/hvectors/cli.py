@@ -9,14 +9,16 @@ that would run past its fixed budget, or memory ran out; a
 RecursionError maps to 5 too, as a guard), 141 stdout closed early (the
 reader of a pipe went away, as `head` does; the command ends quietly).
 
-`main` reads a well-formed argv straight from the command table: the
-command name, then its positionals and its flags, spelled exactly, in any
-order.  It reads them through `_READERS`, one table per command built once,
-at import, from `_COMMANDS`: the positionals' names and, per flag, its
-attribute, kind, default and whether it is required.  Anything else (help,
-`--`, `--flag=value`, an abbreviation, a repeated flag, a missing, leftover
-or malformed argument) goes to the argparse parser, which alone prints
-help, usage and every argument error, and which is imported only then.
+`main` reads a well-formed argv straight from the command table,
+`_COMMANDS`: the command name, then its positionals and its flags, spelled
+exactly, in any order.  The table gives each positional an attribute and a
+kind, and each flag an attribute, a kind and a default, where a default of
+None marks a required flag; a kind is int, bool (a switch), a tuple of
+choices, or None for plain text.  Anything else (help, `--`,
+`--flag=value`, an abbreviation, a repeated flag, a missing, leftover or
+malformed argument) goes to the argparse parser, which `build_parser`
+makes from the same table for help and errors only: it alone prints help,
+usage and every argument error, and argparse is imported only then.
 Normal h-vector text (`1`, then positive ASCII integers with no sign or
 leading zero, joined by bare commas) is the `str` of its HVector: one
 regular expression tells it, its HVector is built with no check, and
@@ -302,69 +304,38 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-_STORE_TRUE, _INTEGER_KIND = "store_true", "integer"  # two kinds of flag; see _reader
+_HVECTOR = (("hvector", None),)
+_JSON = {"--json": ("json", bool, False)}
 
-
-def _reader(handler, flags):
-    """A command's `_read` table, from its `_COMMANDS` flags.
-
-    (handler, positionals, options, defaults, required): positionals holds
-    (attribute, kind) in order, options maps each flag's spelling to its
-    (attribute, kind), defaults holds each optional flag's default and
-    required every attribute a well-formed argv must give.  A kind is
-    `_STORE_TRUE`, `_INTEGER_KIND`, a tuple of choices, or None for plain text.
-    """
-    positionals, options, defaults, required = [], {}, {}, set()
-    for flag, keywords in flags:
-        name = flag.lstrip("-").replace("-", "_")
-        if keywords.get("action") == _STORE_TRUE:
-            kind = _STORE_TRUE
-        elif "type" in keywords:  # _integer_flag, the one type in the table
-            kind = _INTEGER_KIND
-        else:
-            kind = tuple(keywords["choices"]) if "choices" in keywords else None
-        if flag[0] != "-":
-            positionals.append((name, kind))
-        else:
-            options[flag] = (name, kind)
-        if keywords.get("required", flag[0] != "-"):
-            required.add(name)
-        else:
-            defaults[name] = keywords.get("default", False)  # only store_true flags have no default
-    return handler, tuple(positionals), options, defaults, frozenset(required)
-
-
-_HVECTOR = ("hvector", {})
-_JSON = ("--json", {"action": "store_true"})
-
-# name: (handler, help, ((flag, add_argument keywords), ...)).  A command
-# whose flags include _HVECTOR gets the parsed HVector as its first argument.
+# name: (handler, help, positionals, flags).  positionals holds (attribute,
+# kind) in order; flags maps each spelling to (attribute, kind, default),
+# and a default of None marks a required flag.  A kind is int, bool (a
+# switch), a tuple of choices, or None for plain text.  A command whose
+# positionals are _HVECTOR gets the parsed HVector as its first argument.
 _COMMANDS = {
-    "expand": (_cmd_expand, "i-binomial expansion and growth bound",
-               (("n", {"type": _integer_flag}), ("i", {"type": _integer_flag}))),
-    "check": (_cmd_check, "run every predicate on an h-vector", (_HVECTOR, _JSON)),
-    "classify": (_cmd_classify, "three-way Gorenstein verdict", (_HVECTOR, _JSON)),
-    "realize": (_cmd_realize, "lex-smallest monomial realization", (_HVECTOR,)),
-    "socle": (_cmd_socle, "socle vector of the realization", (_HVECTOR,)),
+    "expand": (_cmd_expand, "i-binomial expansion and growth bound", (("n", int), ("i", int)), {}),
+    "check": (_cmd_check, "run every predicate on an h-vector", _HVECTOR, _JSON),
+    "classify": (_cmd_classify, "three-way Gorenstein verdict", _HVECTOR, _JSON),
+    "realize": (_cmd_realize, "lex-smallest monomial realization", _HVECTOR, {}),
+    "socle": (_cmd_socle, "socle vector of the realization", _HVECTOR, {}),
     "decompose": (_cmd_decompose, "find a pivot decomposition",
-                  (_HVECTOR, ("--pivot", {"type": _integer_flag, "default": 1}), _JSON)),
+                  _HVECTOR, {"--pivot": ("pivot", int, 1), **_JSON}),
     "refute": (_cmd_refute,
                "exhaust decomposition candidates against a symmetric non-SI input",
-               (_HVECTOR, _JSON)),
-    "enumerate": (_cmd_enumerate, "stream an h-vector family as JSON lines", (
-        ("--degree", {"type": _integer_flag, "required": True}),
-        ("--codim", {"type": _integer_flag, "required": True}),
-        ("--cap", {"type": _integer_flag, "default": 25}),
-        ("--filter", {"default": "si", "choices": [f.value for f in SequenceFilter]}),
-        ("--count-only", {"action": "store_true"}),
-    )),
+               _HVECTOR, _JSON),
+    "enumerate": (_cmd_enumerate, "stream an h-vector family as JSON lines", (), {
+        "--degree": ("degree", int, None),
+        "--codim": ("codim", int, None),
+        "--cap": ("cap", int, 25),
+        "--filter": ("filter", tuple(f.value for f in SequenceFilter), "si"),
+        "--count-only": ("count_only", bool, False),
+    }),
 }
-_READERS = {name: _reader(handler, flags) for name, (handler, _, flags) in _COMMANDS.items()}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `hvec` parser, built on first use and shared by every later `main` call.
+    """The `hvec` parser, built from `_COMMANDS` on first use and shared by later `main` calls.
 
     Sharing is safe: each `parse_args` call fills a fresh namespace, and
     no flag has a mutable default.
@@ -376,10 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Growth bounds, h-vector predicates and Gorenstein classification.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, flags) in _COMMANDS.items():
+    keywords = {int: {"type": _integer_flag}, bool: {"action": "store_true"}, None: {}}  # per kind
+    for name, (handler, help_text, positionals, flags) in _COMMANDS.items():
         subparser = subparsers.add_parser(name, help=help_text)
-        for flag, keywords in flags:
-            subparser.add_argument(flag, **keywords)
+        for attribute, kind in positionals:
+            subparser.add_argument(attribute, **keywords.get(kind, {"choices": kind}))
+        for flag, (attribute, kind, default) in flags.items():
+            subparser.add_argument(flag, dest=attribute, default=default, required=default is None,
+                                   **keywords.get(kind, {"choices": kind}))
         subparser.set_defaults(func=handler)
     return parser
 
@@ -392,10 +367,10 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     each at most once, each value not starting with "-".  Returns None for
     any other argv, so that the parser answers it, help and errors included.
     """
-    reader = _READERS.get(argv[0]) if argv else None
-    if reader is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    handler, positionals, options, defaults, required = reader
+    handler, _, positionals, flags = command
     given = {}
     at = 0  # the next positional
     tokens = iter(argv[1:])
@@ -407,16 +382,16 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
             at += 1
             text = token
         else:
-            name, kind = options.get(token, (None, None))
+            name, kind, _ = flags.get(token, (None, None, None))
             if name is None or name in given:
                 return None
-            if kind is _STORE_TRUE:
+            if kind is bool:
                 given[name] = True
                 continue
             text = next(tokens, "-")  # a missing value reads as a flag
             if text[:1] == "-":
                 return None
-        if kind is _INTEGER_KIND:
+        if kind is int:
             text = text.strip()
             if not _INTEGER.fullmatch(text):
                 return None
@@ -425,9 +400,14 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
             given[name] = text
         else:
             return None
-    if not required <= given.keys():
+    if at < len(positionals):
         return None
-    return SimpleNamespace(func=handler, **{**defaults, **given})
+    for name, _, default in flags.values():
+        if name not in given:
+            if default is None:  # a required flag
+                return None
+            given[name] = default
+    return SimpleNamespace(func=handler, **given)
 
 
 def _parse_args(argv: Sequence[str] | None):

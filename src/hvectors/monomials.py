@@ -9,11 +9,12 @@ first so that output is deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
 from math import comb
 from operator import sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .binomials import expand, macaulay_bound
 from .errors import InfeasibleSearchError, NotAnOSequenceError
@@ -80,15 +81,16 @@ class SurvivorTable(NamedTuple):
         return len(self.per_degree) - 1
 
 
-class _LexLevels:
+class _LexLevels(Sequence):
     """The per_degree of a lex realization of hilbert in num_variables variables.
 
     len() reads hilbert, and hilbert_function and socle_vector read only
     num_variables and hilbert, so none of them builds a monomial.  Any other
     read builds every level once, the reversed first h_d words of
     _ascending_words as exponent tuples, at O(r + d) a monomial, and keeps
-    only that tuple of levels.  It equals, hashes, prints, iterates,
-    indexes and slices as that tuple; pickled or deep-copied, it is that
+    only that tuple of levels.  It equals, hashes, prints, indexes and
+    slices as that tuple, and the Sequence mixins iterate, reverse, search
+    and count it through __getitem__; pickled or deep-copied, it is that
     tuple.
     """
 
@@ -117,20 +119,8 @@ class _LexLevels:
     def __len__(self) -> int:
         return len(self.hilbert.entries)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, ...]]:
-        return iter(self._tuple())
-
-    def __reversed__(self) -> Iterator[tuple[Monomial, ...]]:
-        return reversed(self._tuple())
-
     def __getitem__(self, index):
         return self._tuple()[index]
-
-    def index(self, level, *bounds) -> int:
-        return self._tuple().index(level, *bounds)
-
-    def count(self, level) -> int:
-        return self._tuple().count(level)
 
     def __eq__(self, other) -> bool:
         return self._tuple() == other
@@ -209,7 +199,7 @@ def lex_realization_names(h: HVector) -> list[list[str]]:
 
 def hilbert_function(table: SurvivorTable) -> HVector:
     levels = table.per_degree
-    if isinstance(levels, _LexLevels):
+    if type(levels) is _LexLevels:  # exact: an ABC isinstance miss costs a __instancecheck__ call
         return levels.hilbert
     return HVector(tuple(map(len, levels)))
 
@@ -258,7 +248,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     whose monomials have slots past the r-th.
     """
     levels = table.per_degree
-    if isinstance(levels, _LexLevels) and levels.num_variables == table.num_variables:
+    if type(levels) is _LexLevels and levels.num_variables == table.num_variables:
         sizes = levels.hilbert.entries
         multiples = map(_last_variable_multiples, sizes[1:], range(1, len(sizes)))
         return tuple.__new__(SocleVector, ((*map(sub, sizes, multiples), sizes[-1]),))

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
+from math import prod
+from operator import add
+from random import Random
 from typing import Iterator, Sequence
 
 
@@ -325,6 +328,89 @@ def naive_gorenstein_hvectors(e: int, diesel: bool = True) -> set[tuple[int, ...
                 assert series[e + 1:] == [0, 0, 0], degrees  # a polynomial of degree e
                 found.add(tuple(series[: e + 1]))
     return found
+
+
+INVERSE_SYSTEM_PRIME = 32003
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """The rank over GF(INVERSE_SYSTEM_PRIME) of rows of residues, by elimination in place."""
+    p = INVERSE_SYSTEM_PRIME
+    rank = 0
+    for column in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][column]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[column], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][column] * inverse % p
+            if factor:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def inverse_system_hvector(coefficients: dict, r: int, e: int) -> tuple[int, ...]:
+    """The h-vector of R/Ann(F), F a form of degree e in r variables, over GF(32003).
+
+    F = sum of c_alpha X^[alpha] in divided powers, with coefficients
+    mapping each exponent tuple alpha (|alpha| = e) to c_alpha; a missing
+    alpha has c_alpha = 0.  A monomial x^beta acts by contraction, x^beta o
+    X^[alpha] = X^[alpha - beta], so Ann(F) in degree d is the kernel of F's
+    d-th catalecticant (c_(beta + gamma)), rows |beta| = d and columns
+    |gamma| = e - d, and h_d is its rank.  Over any field, R/Ann(F) of a
+    nonzero F is an artinian Gorenstein algebra of socle degree e (Macaulay,
+    The Algebraic Theory of Modular Systems, 1916; Iarrobino and Kanev,
+    LNM 1721, 1999): a Gorenstein h-vector built with linear algebra alone.
+    """
+    levels = [exponent_vectors(r, d) for d in range(e + 1)]
+    return tuple(
+        _rank_mod_p([[coefficients.get(tuple(map(add, beta, gamma)), 0) % INVERSE_SYSTEM_PRIME
+                      for gamma in levels[e - d]] for beta in levels[d]])
+        for d in range(e + 1)
+    )
+
+
+def inverse_system_forms(r: int, e: int, count: int, seed: int) -> Iterator[dict]:
+    """Seeded nonzero forms of degree e in r variables, for inverse_system_hvector.
+
+    The kinds take turns: sums of powers of random linear forms, sparse
+    sums of monomials, sums of powers of linear forms that each miss one
+    variable (x_r, but x_1 for the last, so that the points lie on a line
+    and one off it), and sums of powers of linear forms at points
+    (1, t, ..., t^(r-1)) of the rational normal curve, a conic when r = 3.
+    Each kind's forms have 1, 2, ... terms in turn, up to one more than
+    C(r - 1 + e // 2, e // 2), the middle catalecticant's size, and then
+    again from 1.  In divided powers the power L^[e] of L = sum a_i X_i is
+    the sum of a^alpha X^[alpha].  A zero form is skipped, so fewer may come.
+    """
+    p = INVERSE_SYSTEM_PRIME
+    rng = Random(seed)
+    alphas = exponent_vectors(r, e)
+    sizes = len(exponent_vectors(r, e // 2)) + 1
+    for k in range(count):
+        terms = 1 + k // 4 % sizes
+        if k % 4 == 1:
+            chosen = rng.sample(alphas, min(terms, len(alphas)))
+            coefficients = {alpha: rng.randrange(1, p) for alpha in chosen}
+        else:
+            coefficients = dict.fromkeys(alphas, 0)
+            for j in range(terms):
+                if k % 4 == 3:
+                    t = rng.randrange(p)
+                    point = [pow(t, i, p) for i in range(r)]
+                else:
+                    point = [rng.randrange(p) for _ in range(r)]
+                    if k % 4 == 2:
+                        point[0 if j == terms - 1 else r - 1] = 0
+                weight = rng.randrange(1, p)
+                for alpha in alphas:
+                    power = prod(pow(a, x, p) for a, x in zip(point, alpha))
+                    coefficients[alpha] = (coefficients[alpha] + weight * power) % p
+        if any(coefficients.values()):
+            yield coefficients
 
 
 def full_box_vectors(e: int, codim: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -7,14 +7,19 @@ budgets, which are printed rather than enforced.
 
 import time
 from contextlib import contextmanager
+from functools import cache
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from random import Random
 
+import pytest
 from bruteforce import (
     full_box_vectors,
+    inverse_system_forms,
+    inverse_system_hvector,
     lex_divisor_masks,
     mirrored_symmetric_vectors,
+    naive_bound,
     naive_gorenstein_hvectors,
 )
 from hvectors import (
@@ -336,3 +341,66 @@ def test_criterion_10_both_searches_agree_with_the_resolution_hvectors():
         # every resolution h-vector is symmetric with entries under the cap, so all 58 were met
         assert decomposed == sum(len(naive_gorenstein_hvectors(e)) for e in range(2, 9)) == 58
         assert decomposed + refuted == 3589
+
+
+@cache
+def _inverse_system_reach(r, e, count):
+    """The distinct h-vectors of R/Ann(F) over `count` seeded forms F of degree e in r variables."""
+    return frozenset(inverse_system_hvector(form, r, e)
+                     for form in inverse_system_forms(r, e, count, seed=100 * r + e))
+
+
+def _si_stream(e):
+    cap = binom(e // 2 + 2, 2)
+    spec = EnumerationSpec(socle_degree=e, codimension=3, entry_cap=cap, filter=SequenceFilter.SI)
+    return {tuple(h) for h in enumerate_hvectors(spec)}
+
+
+def _si_with_slack(v, slack):
+    """A copy of the SI predicate over bruteforce's naive_bound, each bound moved by slack."""
+    half = v[: (len(v) + 1) // 2]
+    diff = [1] + [b - a for a, b in zip(half, half[1:])]
+    while diff[-1] == 0:
+        diff.pop()
+    return v == v[::-1] and min(diff) >= 0 and all(
+        diff[d + 1] <= naive_bound(diff[d], d) + slack for d in range(1, len(diff) - 1))
+
+
+def _codim_3_inverse_systems():
+    """Per socle degree 2..8, the codim-3 h-vectors reached by 60 seeded forms in 3 variables."""
+    return {e: {v for v in _inverse_system_reach(3, e, 60) if v[1] == 3} for e in range(2, 9)}
+
+
+def _check_the_theorem_on(reached, is_si):
+    """Each vector is a resolution h-vector in the SI stream, passes is_si, decomposes at pivot 1."""
+    for e, vectors in reached.items():
+        gorenstein, stream = naive_gorenstein_hvectors(e), _si_stream(e)
+        for v in vectors:
+            assert v in gorenstein and v in stream, v
+            assert is_si(v), f"is_si refuses {v}"
+            h = HVector(v)
+            decomposition = find_pivot_decomposition(h, 1)
+            assert decomposition is not None, v
+            verify_decomposition_traces(h, decomposition)  # raises on any failure
+
+
+def test_criterion_11_gorenstein_algebras_from_inverse_systems_have_si_hvectors():
+    with criterion(11, "h-vectors of R/Ann(F) for seeded forms F: in codim 3 (e<=8) resolution "
+                       "h-vectors, SI and decomposable, all of the SI set at e<=6; none "
+                       "NotGorenstein in codim<=5"):
+        reached = _codim_3_inverse_systems()
+        _check_the_theorem_on(reached, lambda v: _si_with_slack(v, 0))
+        for e in range(2, 7):
+            assert reached[e] == _si_stream(e), e
+        for r, degrees in ((1, range(2, 9)), (2, range(2, 9)), (3, range(2, 9)), (4, range(2, 7)),
+                           (5, range(2, 6))):
+            for e in degrees:
+                for v in _inverse_system_reach(r, e, 60 if r == 3 else 20):
+                    verdict = classify_gorenstein(HVector(v)).verdict
+                    assert verdict is not Verdict.NOT_GORENSTEIN, v
+                    assert verdict is Verdict.GORENSTEIN or v[1] > 3, v
+
+
+def test_criterion_11_fails_for_an_si_predicate_with_a_lowered_growth_bound():
+    with pytest.raises(AssertionError, match="is_si refuses"):
+        _check_the_theorem_on(_codim_3_inverse_systems(), lambda v: _si_with_slack(v, -1))

@@ -613,31 +613,34 @@ _HVECTOR_TOKEN = st.one_of(_HVECTOR_TEXT, st.sampled_from(["1,3,4,3,1", " 1, 2,1
 _ODD_TOKEN = st.sampled_from([
     "-h", "--help", "--", "--pivot=2", "--piv", "--js", "--count", "-", "", "x", "SI", "-1",
     *(f.value for f in SequenceFilter),
-    *sorted({flag for _, _, flags in cli._COMMANDS.values() for flag, _ in flags if flag[0] == "-"}),
+    *sorted({flag for _, _, _, flags in cli._COMMANDS.values() for flag in flags}),
 ])
 
 
-def _units(flags):
-    """Strategies for each flag's tokens as a well-formed argv spells them, if at all."""
-    for flag, keywords in flags:
-        if "choices" in keywords:
-            value = st.sampled_from(keywords["choices"])
-        else:
-            value = _INTEGER_TEXT if "type" in keywords else _HVECTOR_TOKEN
-        if flag[0] != "-":
-            yield value.map(lambda text: (text,))
-        elif keywords.get("action") == "store_true":
+def _value(kind):
+    """A strategy for the text of a positional or valued flag of this `_COMMANDS` kind."""
+    if kind is None:
+        return _HVECTOR_TOKEN
+    return _INTEGER_TEXT if kind is int else st.sampled_from(kind)
+
+
+def _units(positionals, flags):
+    """Strategies for each positional's and flag's tokens as a well-formed argv spells them."""
+    for _, kind in positionals:
+        yield _value(kind).map(lambda text: (text,))
+    for flag, (_, kind, default) in flags.items():
+        if kind is bool:
             yield st.sampled_from([(), (flag,)])
         else:
-            spelled = value.map(lambda text, flag=flag: (flag, text))
-            yield spelled if keywords.get("required") else st.one_of(st.just(()), spelled)
+            spelled = _value(kind).map(lambda text, flag=flag: (flag, text))
+            yield spelled if default is None else st.one_of(st.just(()), spelled)
 
 
 @given(st.data())
 def test_reader_builds_what_the_full_parser_builds(data):
     # a well-formed argv in any order, then up to two stray, odd or repeated tokens
     command = data.draw(st.sampled_from(list(cli._COMMANDS)))
-    units = [data.draw(unit) for unit in _units(cli._COMMANDS[command][2])]
+    units = [data.draw(unit) for unit in _units(*cli._COMMANDS[command][2:])]
     tokens = [token for unit in data.draw(st.permutations(units)) for token in unit]
     for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
         stray = data.draw(st.one_of(
@@ -657,19 +660,21 @@ def _well_formed_argvs():
     A unit is a positional's token or a flag with its value; each integer is
     its flag's place in the command's table, so that two swapped values show.
     """
-    for command, (_, _, flags) in cli._COMMANDS.items():
+    for command, (_, _, positionals, flags) in cli._COMMANDS.items():
+        entries = [(None, kind, None) for _, kind in positionals]  # a positional is required
+        entries += [(flag, kind, default) for flag, (_, kind, default) in flags.items()]
         units, optional = [], []
-        for place, (flag, keywords) in enumerate(flags):
-            if "choices" in keywords:
-                value = keywords["choices"][-1]  # not the default
+        for place, (flag, kind, default) in enumerate(entries):
+            if isinstance(kind, tuple):
+                value = kind[-1]  # not the default
             else:
-                value = str(place + 2) if "type" in keywords else "1,3,4,3,1"
-            if flag[0] != "-":
+                value = str(place + 2) if kind is int else "1,3,4,3,1"
+            if flag is None:
                 units.append((value,))
-            elif keywords.get("action") == "store_true":
+            elif kind is bool:
                 optional.append((flag,))
             else:
-                (units if keywords.get("required") else optional).append((flag, value))
+                (units if default is None else optional).append((flag, value))
         for size in range(len(optional) + 1):
             for chosen in itertools.combinations(optional, size):
                 for order in itertools.permutations(units + list(chosen)):
@@ -678,6 +683,7 @@ def _well_formed_argvs():
 
 def test_reader_builds_what_the_full_parser_builds_on_every_well_formed_shape():
     argvs = list(_well_formed_argvs())
+    assert len(argvs) == 236
     assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
     for argv in argvs:
         read = cli._read(argv)

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+from collections.abc import Sequence
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -519,6 +520,7 @@ class TestSegmentTails:
 
     def test_reads_as_its_tuple(self):
         for fresh, expected in fresh_realizations():
+            assert isinstance(fresh(), Sequence)
             size = len(expected)
             outside = expected[-1][1:]  # a level with its largest monomial dropped
             assert fresh()[-1] == expected[-1]

@@ -71,6 +71,14 @@ def test_verification_campaign_refuses_a_cap_below_the_codimension(cap):
     )
 
 
+@pytest.mark.parametrize("flag, text", [("--cap", "1_0"), ("--max-degree", "\u0663")])
+def test_verification_campaign_reads_integers_as_hvec_does(flag, text):
+    # int() takes both spellings; hvec's integer flags refuse them
+    result = run_script("exhaustive_verification.py", flag, text)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith(f"argument {flag}: not an integer: {text!r}\n")
+
+
 @pytest.mark.parametrize("reads_first", [True, False], ids=["unbuffered, after one record",
                                                             "buffered, before any record"])
 def test_verification_campaign_ends_quietly_when_its_reader_closes(reads_first):
