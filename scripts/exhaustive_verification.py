@@ -10,7 +10,8 @@ Each sweep prints one JSON record on its own line: sweep, max_degree, cap,
 checked, failures and seconds; each failure's message goes to stderr.
 A reader that closes early ends the run quietly with exit 141, as in hvec,
 and each flag takes an integer as hvec's do: ASCII digits, with an
-optional sign.
+optional sign.  A --cap below the codimension, a --max-degree below 2 or
+a --grid-n or --grid-i below 1 exits 2: its box would check nothing.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def main() -> int:
         EnumerationSpec(2, 3, args.cap)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: argument --cap: {exc}\n")
+    for flag, value, least in [("--max-degree", args.max_degree, 2),
+                               ("--grid-n", args.grid_n, 1), ("--grid-i", args.grid_i, 1)]:
+        if value < least:  # an empty box would check nothing and pass
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: argument {flag}: {value} is below {least}\n")
 
     total_failures = 0
     for name, inputs, failure in [

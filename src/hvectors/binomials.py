@@ -6,6 +6,9 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+# Entries kept by each bounded cache: macaulay_bound's and monomials._last_variable_multiples'.
+CACHE_SIZE = 1 << 14
+
 
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k > n."""
@@ -66,7 +69,7 @@ def expand(n: int, i: int) -> BinomialExpansion:
     return BinomialExpansion(value=n, index=i, terms=tuple(terms))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def macaulay_bound(n: int, i: int) -> int:
     """Largest value allowed in degree i+1 given value n in degree i.
 

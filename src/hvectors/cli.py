@@ -258,11 +258,11 @@ def _cmd_decompose(h: HVector, args) -> int:
         residual = _render_entries(strip_trailing_zeros(decomposition.residual))
         lines = [f"a = {subtrahend}; residual = {residual}"]
         for degree, case, inequalities in traces:
-            checks = ", ".join(
-                f"{label}: {lhs} <= {rhs} {'ok' if lhs <= rhs else 'FAIL'}"
-                for label, lhs, rhs in inequalities
-            )
-            lines.append(f"trace degree {degree}: case {case._value_}; {checks}")
+            line, separator = f"trace degree {degree}: case {case._value_}; ", ""
+            for label, lhs, rhs in inequalities:
+                line += f"{separator}{label}: {lhs} <= {rhs} {'ok' if lhs <= rhs else 'FAIL'}"
+                separator = ", "
+            lines.append(line)
         print("\n".join(lines))
     return EXIT_OK
 

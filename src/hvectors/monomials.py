@@ -8,15 +8,14 @@ first so that output is deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, product, repeat
 from math import comb
 from operator import sub
 from typing import NamedTuple
 
-from .binomials import expand, macaulay_bound
+from .binomials import CACHE_SIZE, expand, macaulay_bound
 from .errors import InfeasibleSearchError, NotAnOSequenceError
 from .sequences import HVector, _growth_violation, _render_entries
 
@@ -86,12 +85,11 @@ class _LexLevels(Sequence):
 
     len() reads hilbert, and hilbert_function and socle_vector read only
     num_variables and hilbert, so none of them builds a monomial.  Any other
-    read builds every level once, the reversed first h_d words of
-    _ascending_words as exponent tuples, at O(r + d) a monomial, and keeps
-    only that tuple of levels.  It equals, hashes, prints, indexes and
-    slices as that tuple, and the Sequence mixins iterate, reverse, search
-    and count it through __getitem__; pickled or deep-copied, it is that
-    tuple.
+    read builds every level once by lex_segment_realization's shadow rule,
+    at O(r) a monomial, and keeps only that tuple of levels, largest first.
+    It equals, hashes, prints, indexes and slices as that tuple, and the
+    Sequence mixins iterate, reverse, search and count it through
+    __getitem__; pickled or deep-copied, it is that tuple.
     """
 
     __slots__ = ("num_variables", "hilbert", "_levels")
@@ -104,15 +102,21 @@ class _LexLevels(Sequence):
     def _tuple(self) -> tuple[tuple[Monomial, ...], ...]:
         if self._levels is None:
             r = self.num_variables
-            levels = []
-            for d, size in enumerate(self.hilbert.entries):
-                level = []
-                for word in islice(_ascending_words(r, d), size):
-                    exponents = [0] * r
-                    for v in word:
-                        exponents[v] += 1
-                    level.append(tuple(exponents))
+            below, lasts = [(0,) * r], [0]  # ascending, with each monomial's last variable
+            levels = [tuple(below)]
+            for size in self.hilbert.entries[1:]:
+                level, level_lasts = [], []
+                for m, last in zip(below, lasts):
+                    room = size - len(level)
+                    whole = room > r - last  # every child fits, and room is left after them
+                    children = range(r - 1, last - 1 if whole else r - 1 - room, -1)
+                    for j in children:
+                        level.append(m[:j] + (m[j] + 1,) + m[j + 1 :])
+                    level_lasts += children
+                    if not whole:
+                        break
                 levels.append(tuple(reversed(level)))
+                below, lasts = level, level_lasts
             self._levels = tuple(levels)
         return self._levels
 
@@ -135,35 +139,18 @@ class _LexLevels(Sequence):
         return tuple, (self._tuple(),)
 
 
-def _ascending_words(r: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Index words of degree-d monomials in r variables (r >= 1 or d = 0), up the term order.
-
-    Words list variable indices in non-decreasing order and ascend as the
-    monomials descend (see max_growth_bruteforce).  From x_r^d = (r-1, ...,
-    r-1) up to x_1^d, each O(d) step lowers the last index that can drop
-    (above the one before it, or above 0 at the front) and sets every later
-    one to r-1, the largest suffix: none lies between.
-    """
-    word = (r - 1,) * d
-    yield word
-    while d and word[-1] > 0:
-        i = bisect_left(word, word[-1])
-        word = word[:i] + (word[i] - 1,) + (r - 1,) * (d - 1 - i)
-        yield word
-
-
 def lex_segment_realization(h: HVector) -> SurvivorTable:
     """Realize h by keeping, in each degree, the h_d smallest monomials.
 
     By Macaulay's theorem the monomials whose one-step divisors all lie in
     a final lex segment of size n in degree d-1 form the final lex segment
-    of size macaulay_bound(n, d-1) in degree d, so each level is the final
-    segment of size h_d, which depends on r, d and h_d alone.  Raises
-    NotAnOSequenceError for the first degree that breaks Macaulay growth;
-    this is the one place that check is made.  Then returns in O(1):
-    per_degree is a _LexLevels, which builds its levels on their first
-    read, and hilbert_function, socle_vector and lex_realization_names
-    answer from h without one.  Nothing outlives the table.
+    of size macaulay_bound(n, d-1) in degree d.  By the shadow rule the
+    children x_j * p of each p, j from r down to p's last variable, ascend,
+    each monomial has one parent, and a smaller parent's are smaller: the
+    level is the first h_d children of the level below, from its smallest.
+    Raises NotAnOSequenceError for the first degree that breaks growth,
+    checked here alone; then returns in O(1) a _LexLevels, built on its
+    first read.
     """
     d = _growth_violation(h.entries)
     if d is not None:
@@ -175,25 +162,38 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
 def lex_realization_names(h: HVector) -> list[list[str]]:
     """Per degree, render_monomial of each monomial of lex_segment_realization(h), in order.
 
-    Reads only the realization's num_variables and sizes, so no level is
-    built: each is rendered from its _ascending_words and reversed, holding
-    nothing, in time and memory O(sum of h_d * d), the size of the text.
-    Raises as lex_segment_realization does.
+    Builds no exponent tuple: a child x_j * p of the shadow rule is named in
+    one concatenation, p's name and "*x_j" past p's last variable, else p's
+    name with its last power raised.  Only the levels below the top keep,
+    per name, its head, last variable and power, so time and memory are
+    O(sum of h_d * d), the size of the text.  Raises as the realization does.
     """
-    realization = lex_segment_realization(h).per_degree
-    r = realization.num_variables
-    factors = [f"*x{v + 1}" for v in range(r)]
-    levels = []
-    for d, size in enumerate(realization.hilbert.entries):
-        names = []
-        for word in islice(_ascending_words(r, d), size):
-            name, k = "", 0
-            while k < d:  # one factor per run of equal indices
-                j = bisect_right(word, word[k], k)
-                name += factors[word[k]] if j - k == 1 else f"{factors[word[k]]}^{j - k}"
-                k = j
-            names.append(name[1:] or "1")
+    r, sizes = lex_segment_realization(h).num_variables, h.entries
+    variables = [f"x{v + 1}" for v in range(r)]
+    starred = ["*" + x for x in variables]
+    levels = [["1"], variables][: len(sizes)]  # degree 1 holds every variable, largest first
+    # the level below, ascending, as (name, head, last, power): name is head, then x_last^power
+    below = zip(reversed(variables), repeat(""), range(r - 1, -1, -1), repeat(1))
+    for d, size in enumerate(sizes[2:], 2):
+        names, level, keep = [], [], d < len(sizes) - 1
+        for name, head, last, power in below:
+            room = size - len(names)
+            whole = room > r - 1 - last  # every child fits, x_last * name the largest
+            for j in range(r - 1, last if whole else r - 1 - room, -1):
+                child = name + starred[j]
+                names.append(child)
+                if keep:
+                    level.append((child, name, j, 1))
+            if not whole:
+                break
+            child = f"{head}*x{last + 1}^{power + 1}" if head else f"x{last + 1}^{power + 1}"
+            names.append(child)
+            if keep:
+                level.append((child, head, last, power + 1))
+            if room == r - last:
+                break
         levels.append(names[::-1])
+        below = level
     return levels
 
 
@@ -217,7 +217,7 @@ class SocleVector(NamedTuple):
         return _render_entries(self.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _last_variable_multiples(size: int, degree: int) -> int:
     """How many of the final lex segment of this size >= 1 in this degree x_r divides.
 

@@ -212,8 +212,12 @@ class TestRealizeAndSocle:
         assert (code, out) == (0, "0,1100\n")
 
     def test_socle_builds_no_level(self, capsys, monkeypatch):
+        def forbidden_build(*args):
+            raise AssertionError(f"built a lex level: {args}")
+
         monkeypatch.setattr(monomials, "monomials_of_degree", forbidden_level)
-        monkeypatch.setattr(monomials, "_ascending_words", forbidden_level)
+        monkeypatch.setattr(monomials._LexLevels, "_tuple", forbidden_build)
+        monkeypatch.setattr(monomials, "lex_realization_names", forbidden_build)
         assert run(capsys, "socle", "1,40,1,1,1,1,1") == (0, "0,39,0,0,0,0,1\n", "")
 
     def test_realize_text_matches_the_table_and_holds_nothing(self):
@@ -310,10 +314,10 @@ class TestDecomposeAndRefute:
         assert err == "error: refutation needs more than 2 candidates\n"
 
     def test_memory_error_exits_five(self, capsys, monkeypatch):
-        def exhausted(r, d):
+        def exhausted(h):
             raise MemoryError
 
-        monkeypatch.setattr(monomials, "_ascending_words", exhausted)
+        monkeypatch.setattr(monomials, "lex_realization_names", exhausted)
         code, out, err = run(capsys, "realize", "1,3,1")
         assert (code, out) == (5, "")
         assert err == "error: MemoryError\n"

@@ -40,7 +40,8 @@ from hvectors import (
     socle_vector,
 )
 from hvectors import monomials
-from hvectors.monomials import _ascending_words, _last_variable_multiples, _LexLevels
+from hvectors.binomials import CACHE_SIZE
+from hvectors.monomials import _last_variable_multiples, _LexLevels, lex_realization_names
 
 # ways to spoil a final lex segment, each leaving a table the socle count must still get right
 NEAR_LEX_MUTATIONS = ("none", "drop", "duplicate", "swap", "larger first", "hole", "empty")
@@ -405,13 +406,46 @@ class TestClosedForm:
         assert lex_segment_realization(HVector((1, 3, 6, 4))).per_degree == short.per_degree
 
 
-class TestAscendingWords:
-    """_ascending_words, read as exponent vectors, against the naive ascending enumeration."""
+def least_levels_below(r, d, size):
+    """(1, r, ..., size) at degree d >= 2, each level below d the least that grows to the next."""
+    h = [size]
+    for k in range(d - 1, 1, -1):
+        h.append(next(n for n in range(1, h[-1] + 1) if macaulay_bound(n, k) >= h[-1]))
+    return (1, r, *reversed(h))
 
-    def test_every_word_from_the_bottom(self):
-        for r, d in [(0, 0), *product(range(1, 7), range(7))]:
-            words = _ascending_words(r, d)
-            assert [tuple(map(word.count, range(r))) for word in words] == exponent_vectors(r, d), (r, d)
+
+class TestShadowRule:
+    """Exponent tuples and names of every level, built by the shadow rule, against the naive final segment."""
+
+    @staticmethod
+    def check(h, ascending=None):
+        # ascending[d] lists degree d up the term order, naively unless given
+        if ascending is None:
+            ascending = [exponent_vectors(h.codimension, d) for d in range(len(h.entries))]
+        expected = tuple(tuple(reversed(ascending[d][:size])) for d, size in enumerate(h.entries))
+        assert lex_segment_realization(h).per_degree == expected, h
+        assert lex_realization_names(h) == [list(map(render_monomial, level)) for level in expected], h
+
+    def test_every_size_over_whole_and_least_levels_below(self):
+        for r in range(1, 7):
+            ascending = []
+            for d in range(7):
+                ascending.append(exponent_vectors(r, d))
+                for size in range(1, len(ascending[d]) + 1) if d >= 2 else ():
+                    self.check(HVector((*map(len, ascending[:d]), size)), ascending)
+                    self.check(HVector(least_levels_below(r, d, size)), ascending)
+
+    def test_no_variable_one_variable_and_many_variables(self):
+        self.check(HVector((1,)))
+        for e in range(1, 8):
+            self.check(HVector((1,) * (e + 1)))
+        for r in (2, 10, 300):  # below degree 2 every variable, then x_r^d alone
+            levels = lex_segment_realization(HVector((1, r, 1, 1, 1))).per_degree
+            assert levels == (((0,) * r,), tuple(reversed(exponent_vectors(r, 1))),
+                              *(((0,) * (r - 1) + (d,),) for d in (2, 3, 4))), r
+        names = lex_realization_names(HVector((1, 100_000, 1, 1)))
+        assert names[0] == ["1"] and names[2:] == [["x100000^2"], ["x100000^3"]]
+        assert names[1] == [f"x{v}" for v in range(1, 100_001)]
 
 
 class TestFinalSegments:
@@ -488,23 +522,25 @@ class TestSegmentTails:
 
         h = HVector((1, 4, 8, 12, 5))
         expected = socle_vector(plain(lex_segment_realization(h)))  # the probe loop
-        monkeypatch.setattr(monomials, "_ascending_words", forbidden)
+        monkeypatch.setattr(_LexLevels, "_tuple", forbidden)
         monkeypatch.setattr(monomials, "monomials_of_degree", forbidden)
         table = lex_segment_realization(h)
         assert len(table.per_degree) == table.socle_degree + 1 == 5
         assert hilbert_function(table) == h
         assert socle_vector(table) == socle_vector(lex_segment_realization(h)) == expected
         monkeypatch.undo()
-        calls = []
+        builds = []
+        build = _LexLevels._tuple
 
-        def counted(r, d):
-            calls.append((r, d))
-            return _ascending_words(r, d)
+        def counted(levels):
+            if levels._levels is None:
+                builds.append(levels.hilbert)
+            return build(levels)
 
-        monkeypatch.setattr(monomials, "_ascending_words", counted)
+        monkeypatch.setattr(_LexLevels, "_tuple", counted)
         assert table.per_degree[3] == tuple(reversed(exponent_vectors(4, 3)[:12]))
-        assert calls == [(4, d) for d in range(5)]
-        assert table.per_degree == plain(table).per_degree and calls == [(4, d) for d in range(5)]
+        assert builds == [h]
+        assert table.per_degree == plain(table).per_degree and builds == [h]
 
     def test_compares_hashes_and_prints_as_its_tuple(self):
         for fresh, expected in fresh_realizations():
@@ -585,6 +621,24 @@ def test_the_process_holds_nothing_once_its_tables_are_dropped():
     finally:
         tracemalloc.stop()
     assert current < 2**20, current
+
+
+def test_the_caches_stay_bounded_over_many_distinct_inputs():
+    # three cachefuls of distinct keys for macaulay_bound and _last_variable_multiples: an
+    # unbounded cache would hold three times what one full cache holds
+    tracemalloc.start()
+    try:
+        for k in range(3 * CACHE_SIZE):
+            n, i = k % 4 + 1, k // 4 + 1
+            macaulay_bound(n, i)
+            _last_variable_multiples(n, i)
+            if k == CACHE_SIZE:
+                full, _ = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert macaulay_bound.cache_info().maxsize == _last_variable_multiples.cache_info().maxsize == CACHE_SIZE
+    assert peak < min(2 * full, 8 * 2**20), (full, peak)  # README's bound for small arguments
 
 
 class TestMaxGrowth:

@@ -71,6 +71,19 @@ def test_verification_campaign_refuses_a_cap_below_the_codimension(cap):
     )
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["--max-degree", "-3", "--grid-n", "-1", "--grid-i", "0"], "--max-degree: -3 is below 2"),
+    (["--max-degree", "1"], "--max-degree: 1 is below 2"),
+    (["--grid-n", "0"], "--grid-n: 0 is below 1"),
+    (["--grid-i", "-1"], "--grid-i: -1 is below 1"),
+])
+def test_verification_campaign_refuses_an_empty_box(argv, refusal):
+    # a sweep over nothing would print "checked": 0 and pass
+    result = run_script("exhaustive_verification.py", *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"exhaustive_verification.py: error: argument {refusal}\n"
+
+
 @pytest.mark.parametrize("flag, text", [("--cap", "1_0"), ("--max-degree", "\u0663")])
 def test_verification_campaign_reads_integers_as_hvec_does(flag, text):
     # int() takes both spellings; hvec's integer flags refuse them

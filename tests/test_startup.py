@@ -104,11 +104,13 @@ def top_level_without_site(statement):
 
 
 def test_check_without_site_loads_only_the_stated_stdlib_modules():
-    # with site, a .pth hook may load these first, and the bare-start comparison above sees nothing
-    added = (top_level_without_site('from hvectors.cli import main; main(["check", "1,3,3,1"])')
-             - top_level_without_site("pass"))
-    assert "hvectors" in added
-    assert added - {"hvectors"} <= CHECK_STDLIB, sorted(added - {"hvectors"} - CHECK_STDLIB)
+    # with site, a .pth hook may load these first, and the bare-start comparison above sees
+    # nothing; realize and socle load no more than check does
+    bare = top_level_without_site("pass")
+    for command in ("check", "realize", "socle"):
+        added = top_level_without_site(f'from hvectors.cli import main; main(["{command}", "1,3,3,1"])') - bare
+        assert "hvectors" in added, command
+        assert added - {"hvectors"} <= CHECK_STDLIB, (command, sorted(added - {"hvectors"} - CHECK_STDLIB))
 
 
 def test_import_leaves_out_dataclasses_inspect_and_json():
