@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import filterfalse, product, repeat
 from typing import Iterator, NamedTuple
 
 from .binomials import macaulay_bound
-from .sequences import HVector, SequenceFilter, _normal_hvector, mirror
+from .sequences import HVector, SequenceFilter, _normal_hvector, is_differentiable, mirror
 
 
 # EnumerationSpec's fields; its checks need a __new__, which a NamedTuple body may not define
@@ -84,27 +84,6 @@ def _grow(r: int, length: int, cap: int, cumulative: bool) -> Iterator[tuple[int
             path.pop()
 
 
-def _halves(r: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Every first half (1, r, h_2, ..., h_{length-1}) with entries in 1..cap, in lex order."""
-    return map((1, r).__add__, product(range(1, cap + 1), repeat=length - 2))
-
-
-def _not_si_halves(r: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """The first halves that are not differentiable, in lex order.
-
-    The SI walk yields exactly the differentiable halves, each of them one
-    of the halves, and it and the product of halves both ascend in lex
-    order, so each half costs one comparison with the next SI half.
-    """
-    halves = _halves(r, length, cap)
-    for skip in _grow(r, length, cap, True):
-        for half in halves:
-            if half == skip:
-                break
-            yield half
-    yield from halves
-
-
 def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
     """Every h-vector in the box passing the filter, in lexicographic order.
 
@@ -112,7 +91,7 @@ def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
     of its first halves (1, r, h_2, ..., h_{e//2}): SI halves grow on first
     differences, and the symmetric filter takes every half with entries in
     1..cap.  A symmetric vector is SI exactly when its first half is
-    differentiable, so the non-SI family is every half minus the SI walk.
+    differentiable, so the non-SI family is every half that fails the SI test.
     A _replace'd spec or a plain tuple skips EnumerationSpec's checks, so
     they run here; every vector is then built unchecked.
     """
@@ -128,10 +107,10 @@ def enumerate_hvectors(spec: EnumerationSpec) -> Iterator[HVector]:
     length = e // 2 + 1
     if family is SequenceFilter.SI:
         halves = _grow(r, length, cap, True)
-    elif family is SequenceFilter.SYMMETRIC:
-        halves = _halves(r, length, cap)
     else:
-        halves = _not_si_halves(r, length, cap)
+        halves = map((1, r).__add__, product(range(1, cap + 1), repeat=length - 2))
+        if family is SequenceFilter.SYMMETRIC_NOT_SI:
+            halves = filterfalse(is_differentiable, halves)
     yield from map(_normal_hvector, map(mirror, halves, repeat(e)))
 
 

@@ -30,8 +30,7 @@ def monomials_of_degree(num_variables: int, degree: int) -> tuple[Monomial, ...]
 
     C(r+d-1, d) of them (one at r = d = 0, none at r = 0 < d), one per index
     word of combinations_with_replacement, whose order is the term order (see
-    max_growth_bruteforce); nothing is held.  Raises ValueError when an
-    argument is negative.
+    max_growth_bruteforce).  Raises ValueError when an argument is negative.
     """
     if num_variables < 0 or degree < 0:
         raise ValueError(f"num_variables and degree must be >= 0, got {num_variables}, {degree}")
@@ -81,27 +80,26 @@ class SurvivorTable(NamedTuple):
 
 
 class _LexLevels(Sequence):
-    """The per_degree of a lex realization of hilbert in num_variables variables.
+    """The per_degree of a lex realization of hilbert, in hilbert.codimension variables.
 
-    len() reads hilbert, and hilbert_function and socle_vector read only
-    num_variables and hilbert, so none of them builds a monomial.  Any other
-    read builds every level once by lex_segment_realization's shadow rule,
-    at O(r) a monomial, and keeps only that tuple of levels, largest first.
-    It equals, hashes, prints, indexes and slices as that tuple, and the
-    Sequence mixins iterate, reverse, search and count it through
-    __getitem__; pickled or deep-copied, it is that tuple.
+    len(), hilbert_function and socle_vector read only hilbert, so none of
+    them builds a monomial.  Any other read builds every level once by
+    lex_segment_realization's shadow rule, at O(r) a monomial, and keeps
+    only that tuple of levels, largest first.  It equals, hashes, prints,
+    indexes and slices as that tuple, and the Sequence mixins iterate,
+    reverse, search and count it through __getitem__; pickled or
+    deep-copied, it is that tuple.
     """
 
-    __slots__ = ("num_variables", "hilbert", "_levels")
+    __slots__ = ("hilbert", "_levels")
 
-    def __init__(self, num_variables: int, hilbert: HVector) -> None:
-        self.num_variables = num_variables
+    def __init__(self, hilbert: HVector) -> None:
         self.hilbert = hilbert
         self._levels = None
 
     def _tuple(self) -> tuple[tuple[Monomial, ...], ...]:
         if self._levels is None:
-            r = self.num_variables
+            r = self.hilbert.codimension
             below, lasts = [(0,) * r], [0]  # ascending, with each monomial's last variable
             levels = [tuple(below)]
             for size in self.hilbert.entries[1:]:
@@ -155,8 +153,8 @@ def lex_segment_realization(h: HVector) -> SurvivorTable:
     d = _growth_violation(h.entries)
     if d is not None:
         raise NotAnOSequenceError(d + 1, macaulay_bound(h[d], d), h[d + 1])
-    r = h.codimension
-    return tuple.__new__(SurvivorTable, (r, _LexLevels(r, h)))  # past the NamedTuple's __new__
+    # past the NamedTuple's __new__
+    return tuple.__new__(SurvivorTable, (h.codimension, _LexLevels(h)))
 
 
 def lex_realization_names(h: HVector) -> list[list[str]]:
@@ -231,12 +229,12 @@ def _last_variable_multiples(size: int, degree: int) -> int:
 def socle_vector(table: SurvivorTable) -> SocleVector:
     """Count, per degree, the survivors m with no multiple x_v * m among the next degree's survivors.
 
-    The top degree has nothing above it, so all of its survivors count.
-    A lex realization is known by its _LexLevels per_degree, whose own
-    num_variables must be the table's (an O(1) check that catches the
-    container put in a table with another r).  There x_r * m is the
-    smallest multiple of m, and a final segment holding any multiple of m
-    holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
+    The top degree has nothing above it, so all of its survivors count.  A
+    lex realization is known by its _LexLevels per_degree, whose hilbert's
+    codimension must be the table's num_variables (an O(1) check that
+    catches the container put in a table with another r).  There x_r * m is
+    the smallest multiple of m, and a final segment holding any multiple of
+    m holds x_r * m too, so m counts exactly when x_r * m is not a survivor.
     Each survivor above that x_r divides is x_r * m for one survivor m, so
     the count is h_d less the x_r-multiples among h_{d+1}: a function of h,
     computed here from the container's hilbert in O(e), so no level is
@@ -248,7 +246,7 @@ def socle_vector(table: SurvivorTable) -> SocleVector:
     whose monomials have slots past the r-th.
     """
     levels = table.per_degree
-    if type(levels) is _LexLevels and levels.num_variables == table.num_variables:
+    if type(levels) is _LexLevels and levels.hilbert.codimension == table.num_variables:
         sizes = levels.hilbert.entries
         multiples = map(_last_variable_multiples, sizes[1:], range(1, len(sizes)))
         return tuple.__new__(SocleVector, ((*map(sub, sizes, multiples), sizes[-1]),))
@@ -297,7 +295,7 @@ def max_growth_bruteforce(n: int, i: int, r: int) -> int:
     differ, the smaller holds more of that variable, and every earlier
     variable has equal counts in both.  A word of more than n distinct
     indices has more than n divisors and is skipped unbuilt; divisors take
-    bits on first sight, and nothing is held.  Raises InfeasibleSearchError
+    bits on first sight.  Raises InfeasibleSearchError
     past MAX_GROWTH_NODE_BUDGET nodes, or words (then before listing any).
     """
     if n < 1 or i < 1 or r < 1:
@@ -393,7 +391,7 @@ def complete_intersection_hvector(*exponents: int) -> HVector:
 
 
 def complete_intersection_table(*exponents: int) -> SurvivorTable:
-    """Survivors of the quotient by pure powers with the given exponents; nothing is held."""
+    """Survivors of the quotient by pure powers with the given exponents."""
     _check_exponents(exponents)
     levels = [[] for _ in range(sum(exponents) - len(exponents) + 1)]
     # descending ranges make product yield the survivors in the term order, largest first

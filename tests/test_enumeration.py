@@ -109,6 +109,19 @@ class TestStreams:
             assert first == second
             assert first == sorted(first)
 
+    def test_every_stream_is_lazy(self):
+        # at e = 60, cap 1000 the SI family alone has 2,147,483,616 halves, so a stream
+        # that listed a family before its first vector would not return
+        firsts = {
+            SequenceFilter.ALL_O_SEQUENCES: (1, 3) + (1,) * 59,
+            SequenceFilter.SYMMETRIC: (1, 3) + (1,) * 57 + (3, 1),
+            SequenceFilter.SYMMETRIC_NOT_SI: (1, 3) + (1,) * 57 + (3, 1),
+            SequenceFilter.SI: (1,) + (3,) * 59 + (1,),
+        }
+        for filter, first in firsts.items():
+            vectors = enumerate_hvectors(EnumerationSpec(60, 3, 1000, filter))
+            assert tuple(next(vectors)) == first
+
     def test_socle_degree_is_exact_and_entries_capped(self):
         for filter in SequenceFilter:
             for h in stream(6, 3, cap=12, filter=filter):

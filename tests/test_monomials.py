@@ -503,7 +503,7 @@ def fresh_realizations():
                 yield (lambda h=h: lex_segment_realization(h).per_degree), (*whole[:-1], whole[-1][-size:])
 
 
-class TestSegmentTails:
+class TestLexLevels:
     """The per_degree of a lex realization, each level its degree's final segment, against its tuple."""
 
     def test_len_reads_nothing_and_the_first_read_keeps_only_the_tuple(self):
